@@ -6,9 +6,9 @@
    exercised by `dune exec bench/main.exe`.
 
    Every mode except `list` additionally writes the whole run — experiment
-   tables/figures, micro-benchmark estimates and a final metrics snapshot —
-   as a machine-readable BENCH.json (path overridable with
-   OSIRIS_BENCH_JSON).
+   tables/figures with the peak RSS after each, micro-benchmark estimates
+   and a final metrics snapshot — as a machine-readable BENCH.json (path
+   overridable with OSIRIS_BENCH_JSON).
 
    Usage:
      dune exec bench/main.exe            # everything (slow: full figures)
@@ -175,14 +175,37 @@ module Micro = struct
                (name, None))
 end
 
-(* Run, print, and collect each experiment's result for BENCH.json. *)
+(* The process's peak resident set in kB ([VmHWM] of /proc/self/status;
+   0 where that file does not exist). *)
+let vm_hwm_kb () =
+  match open_in "/proc/self/status" with
+  | exception Sys_error _ -> 0
+  | ic ->
+      let rec scan () =
+        match input_line ic with
+        | exception End_of_file -> 0
+        | line -> (
+            match Scanf.sscanf line "VmHWM: %d kB" Fun.id with
+            | kb -> kb
+            | exception (Scanf.Scan_failure _ | Failure _ | End_of_file) ->
+                scan ())
+      in
+      let kb = scan () in
+      close_in ic;
+      kb
+
+(* Run, print, and collect each experiment's result for BENCH.json, with
+   the peak RSS reached by the time it finished. *)
 let run_reproduction entries =
   List.map
     (fun (e : Registry.entry) ->
       Printf.printf "\n### %s — %s\n%!" e.Registry.id e.Registry.description;
       let r = Registry.eval e in
       Registry.print_result r;
-      (e.Registry.id, e.Registry.description, Registry.result_json r))
+      ( e.Registry.id,
+        e.Registry.description,
+        Registry.result_json r,
+        vm_hwm_kb () ))
     entries
 
 let write_bench_json ~mode ~experiments ~micro =

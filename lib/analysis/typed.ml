@@ -148,13 +148,13 @@ let find_module idx ~caller key =
           | None -> None)
       | None -> None)
 
+let under_root root source =
+  let root = if Filename.check_suffix root "/" then root else root ^ "/" in
+  String.length source > String.length root
+  && String.sub source 0 (String.length root) = root
+
 let under_scan policy source =
-  List.exists
-    (fun root ->
-      let root = if Filename.check_suffix root "/" then root else root ^ "/" in
-      String.length source > String.length root
-      && String.sub source 0 (String.length root) = root)
-    policy.Policy.scan
+  List.exists (fun root -> under_root root source) policy.Policy.scan
 
 let build_index policy ~cmt_root =
   let mods = List.filter_map load_cmt (walk_cmts cmt_root) in
@@ -778,8 +778,36 @@ let check_r7 idx =
 
 (* ------------------------------------------------------------------ *)
 
+(* A scan root without a single compiled source would leave R6 and R7
+   vacuously clean. That happens whenever the byte artifacts were never
+   built (a native-only [dune runtest] skips them), so it is reported as
+   R0, like a file the syntactic lint cannot parse. Generated library
+   wrappers ([.ml-gen]) do not count as sources. *)
+let check_scan_roots idx ~cmt_root =
+  List.filter_map
+    (fun root ->
+      if
+        List.exists
+          (fun m ->
+            Filename.check_suffix m.m_source ".ml" && under_root root m.m_source)
+          idx.scanned
+      then None
+      else
+        Some
+          {
+            rule = "R0";
+            file = root;
+            line = 1;
+            message =
+              Printf.sprintf
+                "scan root %s: no .cmt for any of its sources under %s; \
+                 build them first (dune build @check)"
+                root cmt_root;
+          })
+    idx.policy.Policy.scan
+
 let check_tree policy ~cmt_root =
   let idx = build_index policy ~cmt_root in
   let by_file v = (v.file, v.line, v.rule) in
-  check_r5 idx @ check_r6 idx @ check_r7 idx
+  check_scan_roots idx ~cmt_root @ check_r5 idx @ check_r6 idx @ check_r7 idx
   |> List.sort (fun a b -> compare (by_file a) (by_file b))

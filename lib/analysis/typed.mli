@@ -39,4 +39,6 @@ val check_tree : Policy.t -> cmt_root:string -> violation list
     [_build/default]). All loaded modules participate in call
     resolution; R6/R7 verdicts apply only to modules whose recorded
     source file lives under a policy [scan] root, and R5 roots are the
-    policy's [hot] entries. Results are sorted by file, line, rule. *)
+    policy's [hot] entries. A [scan] root for which no source has a
+    [.cmt] under [cmt_root] is reported as an R0 violation, so an unbuilt
+    tree cannot pass as clean. Results are sorted by file, line, rule. *)

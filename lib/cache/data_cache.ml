@@ -114,8 +114,7 @@ let read_into t ~addr ~len ~dst ~dst_off =
     remaining := !remaining - chunk
   done;
   (* Stale-read detection (model bookkeeping, not charged time). *)
-  let truth = Phys_mem.bytes_of_region t.mem ~addr ~len in
-  if not (Bytes.equal truth (Bytes.sub dst dst_off len)) then
+  if not (Phys_mem.region_equal t.mem ~addr dst ~off:dst_off ~len) then
     Metrics.incr t.m.m_stale_reads
 
 let read t ~addr ~len =

@@ -128,10 +128,9 @@ let prepare ~backend ~senders ~msg_size ~seed () =
   }
 
 (* One timed segment of [events] live events: (user CPU seconds, cells
-   forwarded). Rate over user CPU time, not wall time: the workload's
-   effect handlers keep the kernel busy mapping fiber stacks, and that
-   system-time component is machine noise (it dwarfs user time on some
-   hosts). *)
+   forwarded). Rate over user CPU time, not wall time: the system time of
+   a run is the kernel faulting in and zeroing pages of host memory, a
+   memory set-up cost rather than event dispatch. *)
 let segment s ~events =
   let fwd0 = s.s_stats.Switch.forwarded in
   let mw0 = Gc.minor_words () in

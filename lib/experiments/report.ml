@@ -104,7 +104,7 @@ let figure_json f =
       ("paper_note", Json.String f.paper_note);
     ]
 
-let schema = "osiris-bench/8"
+let schema = "osiris-bench/9"
 
 let bench_json ~mode ~experiments ~micro =
   Json.Assoc
@@ -114,12 +114,13 @@ let bench_json ~mode ~experiments ~micro =
       ( "experiments",
         Json.List
           (List.map
-             (fun (id, description, result) ->
+             (fun (id, description, result, vm_hwm_kb) ->
                Json.Assoc
                  [
                    ("id", Json.String id);
                    ("description", Json.String description);
                    ("result", result);
+                   ("vm_hwm_kb", Json.Int vm_hwm_kb);
                  ])
              experiments) );
       ( "micro",

@@ -36,18 +36,19 @@ val figure_json : figure -> Osiris_obs.Json.t
     series as [{label; points:[{x;y}]}]. *)
 
 val schema : string
-(** The BENCH.json schema tag (["osiris-bench/7"]); bumped whenever an
-    experiment's series set or semantics change. *)
+(** The BENCH.json schema tag (["osiris-bench/9"]); bumped whenever the
+    document's fields or an experiment's series set or semantics change. *)
 
 val bench_json :
   mode:string ->
-  experiments:(string * string * Osiris_obs.Json.t) list ->
+  experiments:(string * string * Osiris_obs.Json.t * int) list ->
   micro:(string * float option) list ->
   Osiris_obs.Json.t
 (** The BENCH.json document (schema {!schema}): the run [mode],
-    every experiment as [(id, description, result_json)], Bechamel results
-    as [(name, ns_per_run)], and a full {!Osiris_obs.Metrics} snapshot
-    taken at call time. *)
+    every experiment as [(id, description, result_json, vm_hwm_kb)] where
+    [vm_hwm_kb] is the process's peak resident set once the experiment
+    finished, Bechamel results as [(name, ns_per_run)], and a full
+    {!Osiris_obs.Metrics} snapshot taken at call time. *)
 
 val mbps : bytes_count:int -> ns:int -> float
 (** Rate of [bytes_count] bytes over [ns] simulated nanoseconds, in Mb/s. *)

@@ -1,6 +1,8 @@
 (** Host main memory.
 
-    A flat, byte-addressable store with a frame (physical page) allocator.
+    A byte-addressable store with a frame (physical page) allocator. It is
+    sparse: a page takes host memory only from its first write on, and an
+    untouched page reads as zeros.
     The allocator hands out frames in a {e scrambled} order by default: this
     reproduces the central fact of paper §2.2 that virtually contiguous
     pages are generally not physically contiguous, so a multi-page PDU
@@ -22,6 +24,10 @@ val frames : t -> int
 (** Total number of frames. *)
 
 val free_frames : t -> int
+
+val resident_bytes : t -> int
+(** Bytes of the pages written so far; [0] on a fresh memory. {!size}
+    stays the nominal size. *)
 
 val alloc_frame : t -> int
 (** Allocate one frame; returns its physical base address. Raises
@@ -48,6 +54,11 @@ val blit_from_bytes : t -> src:Bytes.t -> src_off:int -> dst:int -> len:int -> u
 val blit_to_bytes : t -> src:int -> dst:Bytes.t -> dst_off:int -> len:int -> unit
 val blit : t -> src:int -> dst:int -> len:int -> unit
 val fill : t -> addr:int -> len:int -> char -> unit
+
+val region_equal : t -> addr:int -> Bytes.t -> off:int -> len:int -> bool
+(** [region_equal t ~addr b ~off ~len] is whether the [len] bytes at
+    [addr] equal those of [b] from [off]. It compares in place and does not
+    allocate. *)
 
 val bytes_of_region : t -> addr:int -> len:int -> Bytes.t
 (** Copy of a region, for assertions and checksum computation. *)

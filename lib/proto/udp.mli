@@ -49,7 +49,10 @@ val unbind : t -> port:int -> unit
 val output :
   t -> dst:Ip.addr -> src_port:int -> dst_port:int -> Osiris_xkernel.Msg.t -> unit
 (** Prepend the UDP header (checksumming the payload if enabled) and hand
-    to IP. Caller keeps ownership of [msg]. *)
+    to IP. [msg] then belongs to the stack: each IP fragment is a view of
+    it that [Driver.send] disposes once the board has fetched the data,
+    and the driver unwires [msg]'s pages only then. The caller must not
+    dispose [msg] after [output]. *)
 
 val stats : t -> stats
 

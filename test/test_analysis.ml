@@ -173,9 +173,10 @@ let test_check_tree_over_fixtures () =
     (contains ~affix:"r1_bad_owner.ml:5: [R1]" printed)
 
 (* ------------------------------------------------------------------ *)
-(* Typed passes (R5/R6/R7) over the compiled fixture library. The
-   fixtures are linked into this test binary, so their .cmt artifacts
-   are guaranteed to exist under the build tree by the time we run. *)
+(* Typed passes (R5/R6/R7) over the compiled fixture library. Linking
+   the fixtures into this binary builds only their native objects; the
+   .cmt artifacts come from the fixtures' @check alias, which test/dune
+   lists as a dependency so that a bare `dune runtest` builds them too. *)
 
 let cmt_root = if Sys.file_exists "fixtures/olint" then "." else "_build/default"
 
@@ -193,6 +194,8 @@ let typed_policy =
 let test_typed_fixtures () =
   let vs = Typed.check_tree typed_policy ~cmt_root in
   let of_rule r = List.filter (fun v -> v.Lint.rule = r) vs in
+  Alcotest.(check (list string)) "fixture .cmt artifacts found" []
+    (List.map (fun v -> v.Lint.message) (of_rule "R0"));
   Alcotest.(check int) "four R5" 4 (List.length (of_rule "R5"));
   Alcotest.(check int) "one R6" 1 (List.length (of_rule "R6"));
   Alcotest.(check int) "one R7" 1 (List.length (of_rule "R7"));
@@ -262,6 +265,23 @@ let test_typed_stale_hot_entry () =
         (contains ~affix:"hot entry" v.Lint.message))
     vs
 
+(* A scan root with no compiled source must not pass as clean: that is
+   how an unbuilt fixture tree once left R6 silently at zero. *)
+let test_typed_unbuilt_scan_root () =
+  let p =
+    Policy.of_string
+      "scan test/fixtures/olint/typed\nscan test/fixtures/olint/r4_missing_mli\n"
+  in
+  match
+    List.filter (fun v -> v.Lint.rule = "R0") (Typed.check_tree p ~cmt_root)
+  with
+  | [ v ] ->
+      Alcotest.(check string) "names the root" "test/fixtures/olint/r4_missing_mli"
+        v.Lint.file;
+      Alcotest.(check bool) "says what is missing" true
+        (contains ~affix:"no .cmt" v.Lint.message)
+  | vs -> Alcotest.failf "expected 1 R0, got %d" (List.length vs)
+
 let suite =
   [
     Alcotest.test_case "policy parses and answers queries" `Quick
@@ -286,4 +306,6 @@ let suite =
       `Quick test_typed_fixtures;
     Alcotest.test_case "R5: stale hot entries are violations" `Quick
       test_typed_stale_hot_entry;
+    Alcotest.test_case "R0: unbuilt typed scan root reported" `Quick
+      test_typed_unbuilt_scan_root;
   ]

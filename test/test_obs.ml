@@ -105,18 +105,20 @@ let test_bench_json_golden () =
   let doc =
     Report.bench_json ~mode:"test"
       ~experiments:
-        [ ("t1", "a table", Report.table_json table);
-          ("f1", "a figure", Report.figure_json figure) ]
+        [ ("t1", "a table", Report.table_json table, 2048);
+          ("f1", "a figure", Report.figure_json figure, 4096) ]
       ~micro:[ ("m", Some 12.5); ("n", None) ]
   in
   let expected =
-    "{\"schema\":\"osiris-bench/8\",\"mode\":\"test\",\"experiments\":[\
+    "{\"schema\":\"osiris-bench/9\",\"mode\":\"test\",\"experiments\":[\
      {\"id\":\"t1\",\"description\":\"a table\",\"result\":{\"kind\":\"table\",\
      \"title\":\"t\",\"header\":[\"a\",\"b\"],\"rows\":[[\"1\",\"2\"]],\
-     \"paper_note\":\"n\"}},{\"id\":\"f1\",\"description\":\"a figure\",\
+     \"paper_note\":\"n\"},\"vm_hwm_kb\":2048},{\"id\":\"f1\",\
+     \"description\":\"a figure\",\
      \"result\":{\"kind\":\"figure\",\"title\":\"f\",\"xlabel\":\"x\",\
      \"ylabel\":\"y\",\"series\":[{\"label\":\"s\",\"points\":[{\"x\":1,\
-     \"y\":1.5}]}],\"paper_note\":\"p\"}}],\"micro\":[{\"name\":\"m\",\
+     \"y\":1.5}]}],\"paper_note\":\"p\"},\"vm_hwm_kb\":4096}],\
+     \"micro\":[{\"name\":\"m\",\
      \"ns_per_run\":12.5},{\"name\":\"n\",\"ns_per_run\":null}],\
      \"metrics\":{}}"
   in
