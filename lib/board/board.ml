@@ -382,7 +382,8 @@ let raise_interrupt t reason =
   match t.irq_filter with
   | Some f when not (f reason) ->
       Metrics.incr t.m.m_interrupts_suppressed;
-      Trace.emitf Trace.Fault ~now:(Engine.now t.eng) "interrupt suppressed"
+      if Trace.on Trace.Fault then
+        Trace.emitf Trace.Fault ~now:(Engine.now t.eng) "interrupt suppressed"
   | _ -> t.on_interrupt reason
 
 let set_irq_filter t f = t.irq_filter <- f
@@ -575,9 +576,10 @@ let try_load_pdu t ch =
           in
           (match collect 0 [] with
           | None ->
-              Trace.emitf Trace.Board_tx ~now:(Engine.now t.eng)
-                "ch%d chain incomplete (ahead=%d count=%d)" ch.id
-                ch.peek_ahead (Desc_queue.count ch.tx_q);
+              if Trace.on Trace.Board_tx then
+                Trace.emitf Trace.Board_tx ~now:(Engine.now t.eng)
+                  "ch%d chain incomplete (ahead=%d count=%d)" ch.id
+                  ch.peek_ahead (Desc_queue.count ch.tx_q);
               false
           | Some chain ->
               let nchain = List.length chain in
@@ -588,14 +590,15 @@ let try_load_pdu t ch =
                 false
               end
               else begin
-                Trace.emitf Trace.Board_tx ~now:(Engine.now t.eng)
-                  "ch%d load chain [%s]" ch.id
-                  (String.concat ";"
-                     (List.map
-                        (fun (d : Desc.t) ->
-                          Printf.sprintf "%d%s" d.Desc.len
-                            (if d.Desc.eop then "*" else ""))
-                        chain));
+                if Trace.on Trace.Board_tx then
+                  Trace.emitf Trace.Board_tx ~now:(Engine.now t.eng)
+                    "ch%d load chain [%s]" ch.id
+                    (String.concat ";"
+                       (List.map
+                          (fun (d : Desc.t) ->
+                            Printf.sprintf "%d%s" d.Desc.len
+                              (if d.Desc.eop then "*" else ""))
+                          chain));
                 ch.peek_ahead <- ch.peek_ahead + nchain;
                 let pbufs = List.map Desc.to_pbuf chain in
                 let pdu = Phys_mem.bytes_of_pbufs t.mem pbufs in
@@ -980,8 +983,9 @@ let rx_handle_cell t (phys_link, cell) =
         if Sar.all_links_finished vc.sar then begin
           (* Every sub-stream has ended but the PDU did not complete: cells
              were lost on the wire. Abandon it so the VC cannot wedge. *)
-          Trace.emitf Trace.Board_rx ~now:(Engine.now t.eng)
-            "abandon incomplete PDU vci=%d (lost cells)" cell.Cell.vci;
+          if Trace.on Trace.Board_rx then
+            Trace.emitf Trace.Board_rx ~now:(Engine.now t.eng)
+              "abandon incomplete PDU vci=%d (lost cells)" cell.Cell.vci;
           Metrics.incr t.m.m_reassembly_errors;
           abort_current_pdu t vc ~marker_addr:0;
           (* reprocess this cell against the fresh state, after the
@@ -992,8 +996,9 @@ let rx_handle_cell t (phys_link, cell) =
         else begin
           (* This link's share of the current PDU is done: the cell starts
              the next PDU. Hold it until the current one completes. *)
-          Trace.emitf Trace.Board_rx ~now:(Engine.now t.eng)
-            "stash vci=%d seq=%d link=%d" cell.Cell.vci cell.Cell.seq link;
+          if Trace.on Trace.Board_rx then
+            Trace.emitf Trace.Board_rx ~now:(Engine.now t.eng)
+              "stash vci=%d seq=%d link=%d" cell.Cell.vci cell.Cell.seq link;
           Queue.add (phys_link, cell) vc.stash;
           None
         end
@@ -1002,9 +1007,10 @@ let rx_handle_cell t (phys_link, cell) =
         let was_in_progress = Sar.in_progress vc.sar in
         match Sar.push vc.sar ~link cell with
         | Sar.Rejected reason ->
-            Trace.emitf Trace.Board_rx ~now:(Engine.now t.eng)
-              "reject vci=%d seq=%d link=%d: %s" cell.Cell.vci cell.Cell.seq
-              link reason;
+            if Trace.on Trace.Board_rx then
+              Trace.emitf Trace.Board_rx ~now:(Engine.now t.eng)
+                "reject vci=%d seq=%d link=%d: %s" cell.Cell.vci cell.Cell.seq
+                link reason;
             Metrics.incr t.m.m_reassembly_errors;
             Metrics.incr t.m.m_cells_dropped;
             abort_current_pdu t vc ~marker_addr:0;
@@ -1145,8 +1151,9 @@ let sweep_stuck_reassemblies t =
   List.iter
     (fun vc ->
       Metrics.incr t.m.m_reassembly_timeouts;
-      Trace.emitf Trace.Fault ~now "reassembly timeout vci=%d (idle %d ns)"
-        vc.vci (now - vc.last_progress);
+      if Trace.on Trace.Fault then
+        Trace.emitf Trace.Fault ~now "reassembly timeout vci=%d (idle %d ns)"
+          vc.vci (now - vc.last_progress);
       abort_current_pdu t vc ~marker_addr:timeout_marker_addr)
     stuck
 
@@ -1198,9 +1205,10 @@ let handle_rx_restripe t link =
         if marker then vc :: acc else acc)
       t.vcs []
   in
-  Trace.emitf Trace.Fault ~now:(Engine.now t.eng)
-    "restripe to %d live links (%d aborted reassemblies)" (List.length live)
-    (List.length victims);
+  if Trace.on Trace.Fault then
+    Trace.emitf Trace.Fault ~now:(Engine.now t.eng)
+      "restripe to %d live links (%d aborted reassemblies)" (List.length live)
+      (List.length victims);
   (* Abort-marker enqueues suspend for dual-port accesses, and carrier
      callbacks may run from an engine callback: hand them to a process. *)
   if victims <> [] then

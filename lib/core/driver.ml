@@ -386,14 +386,9 @@ let rx_thread t () =
 (* ------------------------------------------------------------------ *)
 (* Transmit path. *)
 
-let send t ~vci ?(from_user = false) msg =
-  if from_user then Cpu.consume t.cpu t.costs.syscall;
-  Cpu.consume t.cpu t.costs.tx_per_pdu;
-  (* One PDU's descriptor chain must reach the transmit queue contiguously
-     even when several threads send concurrently (the real driver masks
-     interrupts / takes a spl lock here). *)
-  Resource.acquire t.tx_lock;
-  Fun.protect ~finally:(fun () -> Resource.release t.tx_lock) @@ fun () ->
+(* One PDU's descriptor chain onto the transmit queue; [send] holds
+   [tx_lock] around it. *)
+let enqueue_chain t ~vci msg =
   let segs = Msg.segs msg in
   List.iter
     (fun (s : Msg.seg) ->
@@ -401,14 +396,15 @@ let send t ~vci ?(from_user = false) msg =
     segs;
   let pbufs = Msg.pbufs msg in
   let descs = Desc.chain_of_pbufs ~vci pbufs in
-  Osiris_sim.Trace.emitf Osiris_sim.Trace.Driver ~now:(Engine.now t.eng)
-    "enqueue vci=%d chain=[%s]" vci
-    (String.concat ";"
-       (List.map
-          (fun (d : Desc.t) ->
-            Printf.sprintf "%d%s" d.Desc.len
-              (if d.Desc.eop then "*" else ""))
-          descs));
+  if Osiris_sim.Trace.on Osiris_sim.Trace.Driver then
+    Osiris_sim.Trace.emitf Osiris_sim.Trace.Driver ~now:(Engine.now t.eng)
+      "enqueue vci=%d chain=[%s]" vci
+      (String.concat ";"
+         (List.map
+            (fun (d : Desc.t) ->
+              Printf.sprintf "%d%s" d.Desc.len
+                (if d.Desc.eop then "*" else ""))
+            descs));
   let tx_q = Board.tx_queue t.channel in
   List.iter
     (fun d ->
@@ -433,6 +429,19 @@ let send t ~vci ?(from_user = false) msg =
   in
   Queue.add { upto; cleanup } t.pending;
   Signal.broadcast t.pending_sig
+
+let send t ~vci ?(from_user = false) msg =
+  if from_user then Cpu.consume t.cpu t.costs.syscall;
+  Cpu.consume t.cpu t.costs.tx_per_pdu;
+  (* One PDU's descriptor chain must reach the transmit queue contiguously
+     even when several threads send concurrently (the real driver masks
+     interrupts / takes a spl lock here). *)
+  Resource.acquire t.tx_lock;
+  match enqueue_chain t ~vci msg with
+  | () -> Resource.release t.tx_lock
+  | exception e ->
+      Resource.release t.tx_lock;
+      raise e
 
 (* Transmit completion is detected by tail-pointer advance, as part of
    other driver activity — modelled as a background watcher that reacts to

@@ -96,17 +96,20 @@ let prepare ~backend ~senders ~msg_size ~seed () =
           Msg.dispose m))
     vcs;
   (* Senders stream forever (the event budget ends the run): one PDU
-     every [gap], staggered so instants stay spread. The aggregate rate
-     sits below the OC-3 line rate, so queues reach a steady state
-     instead of growing without bound. *)
-  let gap = Time.us 100 in
+     every [gap], each sender a [gap / senders] phase after the last so
+     the 43-cell bursts reach the receiver one at a time. 4 x 43 cells
+     per 400 us is ~180 Mb/s into a 620 Mb/s port: queues reach a steady
+     state with no drops. Bursts synchronised to within microseconds, or
+     a 200 us gap, overrun the receiving 5000/200 and turn the run into
+     a drop storm that delivers nothing; [delivery_check] fails it. *)
+  let gap = Time.us 400 in
   Array.iteri
     (fun i vc ->
       let sender = Network.host topo (i + 1) in
       Process.spawn eng
         ~name:(Printf.sprintf "speed-tx%d" i)
         (fun () ->
-          Process.sleep eng (Time.us 5 * i);
+          Process.sleep eng (gap * i / senders);
           let payload = Fault_soak.fill_pattern ~msg:i ~len:msg_size in
           let rec loop () =
             let m = Msg.alloc sender.Host.vs ~len:msg_size () in
@@ -180,6 +183,19 @@ let compare_outcomes w h =
   @ d "delivered PDUs" (fun o -> o.delivered_pdus)
   @ d "delivered bytes" (fun o -> o.delivered_bytes)
 
+(* A rate counted over traffic that never arrives measures a drop storm,
+   not the datapath: the workload must deliver, and without loss. *)
+let delivery_check o =
+  (if o.delivered_pdus = 0 then
+     [ "engine_speed: no PDU was delivered intact" ]
+   else [])
+  @
+  if o.dropped > 0 then
+    [
+      Printf.sprintf "engine_speed: the switch dropped %d cells" o.dropped;
+    ]
+  else []
+
 let leak_check o =
   if o.live_words_growth > growth_ceiling then
     [
@@ -233,7 +249,9 @@ let run ?(events = 1_000_000) ?(senders = 4) ?(msg_size = 2048) ?(seed = 3)
     outcome_of h ~events ~wall_s:!wall_h ~best_cpu:!best_cpu_h
       ~best_fwd:!best_fwd_h ~best_mw:!best_mw_h ~live_words_growth:growth
   in
-  let violations = compare_outcomes wheel heap @ leak_check wheel in
+  let violations =
+    compare_outcomes wheel heap @ delivery_check wheel @ leak_check wheel
+  in
   (wheel, heap, violations)
 
 let sweep_events = [ 250_000; 1_000_000 ]

@@ -164,10 +164,11 @@ let set_link_state t ~link up =
            (fun i -> t.link_up.(i))
            (List.init t.cfg.nlinks (fun i -> i)));
     Metrics.incr t.m.m_link_transitions;
-    Trace.emitf Trace.Fault ~now:(Engine.now t.eng) "link %d %s (%d/%d live)"
-      link
-      (if up then "up" else "down")
-      (Array.length t.live) t.cfg.nlinks;
+    if Trace.on Trace.Fault then
+      Trace.emitf Trace.Fault ~now:(Engine.now t.eng) "link %d %s (%d/%d live)"
+        link
+        (if up then "up" else "down")
+        (Array.length t.live) t.cfg.nlinks;
     List.iter (fun f -> f ()) t.on_change
   end
 
@@ -175,22 +176,25 @@ let deliver t link seq ~dup cell =
   if not t.link_up.(link) then begin
     (* Carrier dropped while the cell was in flight. *)
     Metrics.incr t.m.m_dropped_link_down;
-    Trace.emitf Trace.Fault ~now:(Engine.now t.eng)
-      "cell lost to dead link %d trunk_seq=%d" link seq
+    if Trace.on Trace.Fault then
+      Trace.emitf Trace.Fault ~now:(Engine.now t.eng)
+        "cell lost to dead link %d trunk_seq=%d" link seq
   end
   else
     match t.cell_filter with
     | Some f when not (f link cell) ->
         Metrics.incr t.m.m_dropped_net;
-        Trace.emitf Trace.Fault ~now:(Engine.now t.eng)
-          "cell filtered on link %d trunk_seq=%d" link seq
+        if Trace.on Trace.Fault then
+          Trace.emitf Trace.Fault ~now:(Engine.now t.eng)
+            "cell filtered on link %d trunk_seq=%d" link seq
     | _ ->
         if dup then Metrics.incr t.m.m_duplicated
         else if seq > t.max_delivered_seq then t.max_delivered_seq <- seq
         else begin
           Metrics.incr t.m.m_reordered;
-          Trace.emitf Trace.Link ~now:(Engine.now t.eng)
-            "reordered arrival link=%d trunk_seq=%d" link seq
+          if Trace.on Trace.Link then
+            Trace.emitf Trace.Link ~now:(Engine.now t.eng)
+              "reordered arrival link=%d trunk_seq=%d" link seq
         end;
         if
           Mailbox.length t.inbox < t.rx_limit
@@ -198,8 +202,9 @@ let deliver t link seq ~dup cell =
         then Metrics.incr t.m.m_delivered
         else begin
           Metrics.incr t.m.m_dropped_fifo;
-          Trace.emitf Trace.Link ~now:(Engine.now t.eng)
-            "rx fifo overflow link=%d trunk_seq=%d" link seq
+          if Trace.on Trace.Link then
+            Trace.emitf Trace.Link ~now:(Engine.now t.eng)
+              "rx fifo overflow link=%d trunk_seq=%d" link seq
         end
 
 let send t cell =
@@ -217,13 +222,15 @@ let send t cell =
   Metrics.incr t.m.m_sent;
   if nlive = 0 then begin
     Metrics.incr t.m.m_dropped_link_down;
-    Trace.emitf Trace.Fault ~now:(Engine.now t.eng)
-      "cell lost: all links down trunk_seq=%d" seq
+    if Trace.on Trace.Fault then
+      Trace.emitf Trace.Fault ~now:(Engine.now t.eng)
+        "cell lost: all links down trunk_seq=%d" seq
   end
   else begin
     let l = t.live.(cell.Cell.seq mod nlive) in
-    Trace.emitf Trace.Link ~now:(Engine.now t.eng)
-      "cell vci=%d seq=%d -> link %d" cell.Cell.vci cell.Cell.seq l;
+    if Trace.on Trace.Link then
+      Trace.emitf Trace.Link ~now:(Engine.now t.eng)
+        "cell vci=%d seq=%d -> link %d" cell.Cell.vci cell.Cell.seq l;
     (* Backpressure: the channel's output FIFO lets us book at most
        [tx_fifo_cells] cell-times ahead of the present. *)
     let horizon () = Engine.now t.eng + (t.cfg.tx_fifo_cells * t.cell_time) in
@@ -235,8 +242,9 @@ let send t cell =
     t.busy_until.(l) <- finish;
     if Rng.float t.rng 1.0 < t.drop_prob then begin
       Metrics.incr t.m.m_dropped_net;
-      Trace.emitf Trace.Link ~now:(Engine.now t.eng)
-        "cell lost on link %d trunk_seq=%d" l seq
+      if Trace.on Trace.Link then
+        Trace.emitf Trace.Link ~now:(Engine.now t.eng)
+          "cell lost on link %d trunk_seq=%d" l seq
     end
     else begin
       let cell =
@@ -258,15 +266,17 @@ let send t cell =
           Metrics.incr t.m.m_header_corrupted;
           let flip = 1 + Rng.int t.rng 7 in
           if Rng.bool t.rng then begin
-            Trace.emitf Trace.Fault ~now:(Engine.now t.eng)
-              "header corrupt vci %d -> %d trunk_seq=%d" cell.Cell.vci
-              (cell.Cell.vci lxor flip) seq;
+            if Trace.on Trace.Fault then
+              Trace.emitf Trace.Fault ~now:(Engine.now t.eng)
+                "header corrupt vci %d -> %d trunk_seq=%d" cell.Cell.vci
+                (cell.Cell.vci lxor flip) seq;
             { cell with Cell.vci = cell.Cell.vci lxor flip }
           end
           else begin
-            Trace.emitf Trace.Fault ~now:(Engine.now t.eng)
-              "header corrupt seq %d -> %d trunk_seq=%d" cell.Cell.seq
-              (cell.Cell.seq lxor flip) seq;
+            if Trace.on Trace.Fault then
+              Trace.emitf Trace.Fault ~now:(Engine.now t.eng)
+                "header corrupt seq %d -> %d trunk_seq=%d" cell.Cell.seq
+                (cell.Cell.seq lxor flip) seq;
             { cell with Cell.seq = cell.Cell.seq lxor flip }
           end
         end
@@ -291,8 +301,9 @@ let send t cell =
            cell-time later, respecting per-channel FIFO order. *)
         let arrival2 = t.last_delivery.(l) + t.cell_time in
         t.last_delivery.(l) <- arrival2;
-        Trace.emitf Trace.Fault ~now:(Engine.now t.eng)
-          "cell duplicated on link %d trunk_seq=%d" l seq;
+        if Trace.on Trace.Fault then
+          Trace.emitf Trace.Fault ~now:(Engine.now t.eng)
+            "cell duplicated on link %d trunk_seq=%d" l seq;
         ignore
           (Engine.schedule_at t.eng ~time:arrival2 (fun () ->
                deliver t l seq ~dup:true cell))

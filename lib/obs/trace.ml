@@ -42,6 +42,28 @@ let json_oc : out_channel option ref = ref None
 let sinks : (event -> unit) list ref = ref []
 let initialized = ref false
 
+let index = function
+  | Board_tx -> 0
+  | Board_rx -> 1
+  | Driver -> 2
+  | Protocol -> 3
+  | Link -> 4
+  | Fault -> 5
+
+(* Per category: would any sink observe an event? Every entry stays true
+   until the environment has been consulted, so the first guarded site
+   takes the slow path through [enabled], which consults it. *)
+let live = Array.make (List.length all) true
+
+let refresh () =
+  List.iter
+    (fun c ->
+      live.(index c) <-
+        Hashtbl.mem stderr_cats c || !json_oc <> None || !sinks <> [])
+    all
+
+let on c = live.(index c)
+
 let close_json () =
   match !json_oc with
   | None -> ()
@@ -76,36 +98,37 @@ let apply_env () =
 let ensure_init () =
   if not !initialized then begin
     initialized := true;
-    apply_env ()
+    apply_env ();
+    refresh ()
   end
 
 let enable c =
   ensure_init ();
-  Hashtbl.replace stderr_cats c ()
+  Hashtbl.replace stderr_cats c ();
+  refresh ()
 
 let disable c =
   ensure_init ();
-  Hashtbl.remove stderr_cats c
+  Hashtbl.remove stderr_cats c;
+  refresh ()
 
 let enable_all () = List.iter enable all
 
-let set_json_path = function
-  | Some path ->
-      ensure_init ();
-      open_json path
-  | None ->
-      ensure_init ();
-      close_json ()
+let set_json_path p =
+  ensure_init ();
+  (match p with Some path -> open_json path | None -> close_json ());
+  refresh ()
 
 let on_event f =
   ensure_init ();
-  sinks := f :: !sinks
+  sinks := f :: !sinks;
+  refresh ()
 
 let init_from_env () = ensure_init ()
 
 let enabled c =
   ensure_init ();
-  Hashtbl.mem stderr_cats c || !json_oc <> None || !sinks <> []
+  on c
 
 let events_emitted () = !total
 
@@ -125,7 +148,8 @@ let reset_for_testing () =
   sinks := [];
   Array.fill ring 0 ring_capacity None;
   ring_next := 0;
-  total := 0
+  total := 0;
+  refresh ()
 
 let pp_event fmt (ev : event) =
   Format.fprintf fmt "[%10.2fus %s] %s" (float_of_int ev.t_ns /. 1e3)

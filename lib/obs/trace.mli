@@ -12,7 +12,8 @@
       {e every} category;
     - arbitrary callbacks installed with {!on_event}.
 
-    Tracing is off by default and costs one branch when disabled. The
+    Tracing is off by default, and a site guarded with {!on} costs one
+    array read and one branch when disabled. The
     environment is consulted once, lazily; explicit {!enable}/{!disable}
     calls force that initialization first so tests cannot race the env
     latch, and {!reset_for_testing} restores a clean, env-independent
@@ -41,8 +42,14 @@ val disable : category -> unit
 val enable_all : unit -> unit
 
 val enabled : category -> bool
-(** Cheap guard for call sites that would otherwise build strings: true
-    when any sink would observe an event of this category. *)
+(** True when any sink would observe an event of this category. Consults
+    the environment first if nothing has yet. *)
+
+val on : category -> bool
+(** The guard for per-cell and per-PDU trace sites: one array read, no
+    allocation. Never false when {!enabled} would be true; before the
+    environment has been consulted it is true for every category, so the
+    first guarded {!emitf} consults it and settles every later [on]. *)
 
 val emit : category -> now:int -> string -> unit
 (** Emit one event (no trailing newline needed in [msg]). *)

@@ -27,13 +27,18 @@ let interrupt_priority = 0
 let consume_with t ~priority duration =
   if duration > 0 then begin
     Resource.acquire ~priority t.res;
-    Fun.protect
-      ~finally:(fun () -> Resource.release t.res)
-      (fun () ->
-        Process.sleep t.eng duration;
-        (* Background memory traffic stretches the slice while holding the
-           CPU: the thread is stalled on its own cache misses. *)
-        t.mem_load duration)
+    (* Release on every exit without [Fun.protect]'s per-call closures:
+       this runs once per CPU slice. *)
+    match
+      Process.sleep t.eng duration;
+      (* Background memory traffic stretches the slice while holding the
+         CPU: the thread is stalled on its own cache misses. *)
+      t.mem_load duration
+    with
+    | () -> Resource.release t.res
+    | exception e ->
+        Resource.release t.res;
+        raise e
   end
 
 let consume t duration = consume_with t ~priority:thread_priority duration
@@ -46,7 +51,13 @@ let consume_interrupt t duration =
 
 let with_held t f =
   Resource.acquire ~priority:thread_priority t.res;
-  Fun.protect ~finally:(fun () -> Resource.release t.res) f
+  match f () with
+  | v ->
+      Resource.release t.res;
+      v
+  | exception e ->
+      Resource.release t.res;
+      raise e
 
 let stall t duration = if duration > 0 then Process.sleep t.eng duration
 

@@ -95,9 +95,10 @@ let pending t =
 
 let check_time t time =
   if time < t.clock then
-    invalid_arg
-      (Printf.sprintf "Engine.schedule_at: time %d is in the past (now %d)"
-         time t.clock)
+    (invalid_arg
+       (Printf.sprintf "Engine.schedule_at: time %d is in the past (now %d)"
+          time t.clock)
+    [@osiris.alloc_ok "cold error path: raises, never returns"])
 
 let schedule_at t ~time fn =
   check_time t time;
@@ -110,16 +111,21 @@ let schedule t ~delay fn =
   if delay < 0 then invalid_arg "Engine.schedule: negative delay";
   schedule_at t ~time:(t.clock + delay) fn
 
+let handle fn = { cancelled = false; queued = false; fn }
+
 let reschedule_at t ~time h =
   if h.queued then
-    invalid_arg "Engine.reschedule_at: handle is still queued";
+    (invalid_arg "Engine.reschedule_at: handle is still queued"
+    [@osiris.alloc_ok "cold error path: raises, never returns"]);
   check_time t time;
   h.cancelled <- false;
   ev_add t ~key:time ~seq:t.seq h;
   t.seq <- t.seq + 1
 
 let reschedule t ~delay h =
-  if delay < 0 then invalid_arg "Engine.reschedule: negative delay";
+  if delay < 0 then
+    (invalid_arg "Engine.reschedule: negative delay"
+    [@osiris.alloc_ok "cold error path: raises, never returns"]);
   reschedule_at t ~time:(t.clock + delay) h
 
 let cancel h = h.cancelled <- true

@@ -49,6 +49,12 @@ val schedule_at : t -> time:Time.t -> (unit -> unit) -> handle
 (** [schedule_at t ~time f] arranges for [f ()] to run at absolute time
     [time], which must not be in the past. *)
 
+val handle : (unit -> unit) -> handle
+(** [handle f] is a handle for [f] that is not queued: nothing runs until
+    it is armed with {!reschedule}. Long-lived actors (every process owns
+    two) create their handles once and re-arm them for each event, so
+    their steady state schedules without allocating. *)
+
 val reschedule : t -> delay:Time.t -> handle -> unit
 (** [reschedule t ~delay h] re-arms a handle whose event has already
     fired (or been cancelled), reusing the handle and its callback

@@ -4,14 +4,11 @@ type stats = {
   mutable wait_time : Time.t;
 }
 
-type waiter = { priority : int; seq : int; resume : Process.resumer }
-
 type t = {
   eng : Engine.t;
   capacity : int;
   mutable held : int;
-  mutable wseq : int;
-  mutable waiters : waiter list; (* sorted by (priority, seq) *)
+  waiters : Waitq.t; (* by priority, FIFO within one *)
   mutable last_change : Time.t;
   stats : stats;
 }
@@ -22,8 +19,7 @@ let create eng ~capacity =
     eng;
     capacity;
     held = 0;
-    wseq = 0;
-    waiters = [];
+    waiters = Waitq.create ();
     last_change = Engine.now eng;
     stats = { busy_time = 0; acquisitions = 0; wait_time = 0 };
   }
@@ -33,20 +29,8 @@ let account t =
   t.stats.busy_time <- t.stats.busy_time + (t.held * (now - t.last_change));
   t.last_change <- now
 
-let insert_waiter t w =
-  let rec ins = function
-    | [] -> [ w ]
-    | x :: rest ->
-        if
-          w.priority < x.priority
-          || (w.priority = x.priority && w.seq < x.seq)
-        then w :: x :: rest
-        else x :: ins rest
-  in
-  t.waiters <- ins t.waiters
-
 let try_acquire t =
-  if t.held < t.capacity && t.waiters = [] then begin
+  if t.held < t.capacity && Waitq.is_empty t.waiters then begin
     account t;
     t.held <- t.held + 1;
     t.stats.acquisitions <- t.stats.acquisitions + 1;
@@ -55,17 +39,10 @@ let try_acquire t =
   else false
 
 let acquire ?(priority = 0) t =
-  if t.held < t.capacity && t.waiters = [] then begin
-    account t;
-    t.held <- t.held + 1;
-    t.stats.acquisitions <- t.stats.acquisitions + 1
-  end
-  else begin
+  if not (try_acquire t) then begin
     let started = Engine.now t.eng in
-    Process.suspend t.eng (fun resume ->
-        let w = { priority; seq = t.wseq; resume } in
-        t.wseq <- t.wseq + 1;
-        insert_waiter t w);
+    Waitq.add t.waiters ~priority (Process.self ());
+    Process.park ();
     (* Woken by [release], which transferred the unit to us directly. *)
     t.stats.wait_time <- t.stats.wait_time + (Engine.now t.eng - started);
     t.stats.acquisitions <- t.stats.acquisitions + 1
@@ -74,12 +51,10 @@ let acquire ?(priority = 0) t =
 let release t =
   if t.held <= 0 then invalid_arg "Resource.release: not held";
   account t;
-  match t.waiters with
-  | [] -> t.held <- t.held - 1
-  | w :: rest ->
-      (* Hand the unit straight to the first waiter: [held] stays. *)
-      t.waiters <- rest;
-      w.resume ()
+  if Waitq.is_empty t.waiters then t.held <- t.held - 1
+  else
+    (* Hand the unit straight to the first waiter: [held] stays. *)
+    Waitq.wake_one t.waiters
 
 let use ?priority t ~duration =
   acquire ?priority t;
@@ -87,7 +62,7 @@ let use ?priority t ~duration =
   release t
 
 let in_use t = t.held
-let waiting t = List.length t.waiters
+let waiting t = Waitq.length t.waiters
 
 let stats t =
   account t;

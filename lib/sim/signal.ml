@@ -1,13 +1,10 @@
-type t = { eng : Engine.t; mutable queue : Process.resumer list }
+type t = { waiting : Waitq.t }
 
-let create eng = { eng; queue = [] }
+let create (_ : Engine.t) = { waiting = Waitq.create () }
 
 let wait t =
-  Process.suspend t.eng (fun resume -> t.queue <- resume :: t.queue)
+  Waitq.add t.waiting ~priority:0 (Process.self ());
+  Process.park ()
 
-let broadcast t =
-  let woken = List.rev t.queue in
-  t.queue <- [];
-  List.iter (fun resume -> resume ()) woken
-
-let waiters t = List.length t.queue
+let broadcast t = Waitq.wake_all t.waiting
+let waiters t = Waitq.length t.waiting

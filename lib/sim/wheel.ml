@@ -17,10 +17,15 @@
    are FIFO, and the cascade preserves list order, so same-key entries
    keep their insertion (= seq) order without ever comparing seqs.
 
-   Allocation discipline: nodes are recycled through a freelist and
-   their values overwritten with [dummy] on pop, so a drained wheel
-   retains no user data — the property the engine's live-words
-   benchmark and weak-pointer tests check. *)
+   Storage is a struct-of-arrays node pool: node [i] is [keys.(i)],
+   [seqs.(i)], [next.(i)] and [vals.(i)], and slot lists, the freelist
+   and the slot heads/tails are int indices ([nil] = -1 terminates).
+   Adds, cascades and takes therefore write ints, which need no write
+   barrier; the only pointer stores are the value going in on [add] and
+   [dummy] going over it on [take], so a drained wheel retains no user
+   data — the property the engine's live-words benchmark and weak-pointer
+   tests check. The pool doubles when the freelist runs dry, so it is
+   sized by the peak number of pending entries. *)
 
 let bits = 5
 let slots = 1 lsl bits
@@ -29,47 +34,79 @@ let slot_mask = slots - 1
 (* ceil(63 / 5): enough digits for any non-negative int key. *)
 let levels = 13
 
-type 'a node = {
-  mutable key : int;
-  mutable seq : int;
-  mutable value : 'a;
-  mutable next : 'a node; (* slot or freelist link; [nil] terminates *)
-}
+let nil = -1
 
 type 'a t = {
   dummy : 'a;
-  nil : 'a node;
-  heads : 'a node array; (* [levels * slots] flattened: level*32 + slot *)
-  tails : 'a node array;
+  mutable w_keys : int array;
+  mutable w_seqs : int array;
+  mutable w_next : int array; (* slot or freelist link; [nil] terminates *)
+  mutable w_vals : 'a array; (* [dummy] in every free node *)
+  heads : int array; (* [levels * slots] flattened: level*32 + slot *)
+  tails : int array;
   occ : int array; (* per-level bitmask of nonempty slots *)
   mutable cur : int; (* floor: adds below this key are rejected *)
   mutable len : int;
-  mutable free : 'a node; (* recycled nodes, values cleared to [dummy] *)
+  mutable free : int; (* head of the recycled-node list *)
   mutable min_valid : bool; (* cache for [next_key]/[peek_key] *)
   mutable min_key : int;
   mutable last_key : int; (* (key, seq) of the entry [take] returned *)
   mutable last_seq : int;
 }
 
+(* Thread nodes [lo, hi) onto the freelist, lowest index first. *)
+let link_free t lo hi =
+  for i = hi - 1 downto lo do
+    t.w_next.(i) <- t.free;
+    t.free <- i
+  done
+
+(* Nodes in a fresh pool; it doubles from here as the queue deepens. *)
+let initial_capacity = 64
+
 let create ~dummy =
-  let rec nil = { key = max_int; seq = max_int; value = dummy; next = nil } in
-  {
-    dummy;
-    nil;
-    heads = Array.make (levels * slots) nil;
-    tails = Array.make (levels * slots) nil;
-    occ = Array.make levels 0;
-    cur = 0;
-    len = 0;
-    free = nil;
-    min_valid = false;
-    min_key = 0;
-    last_key = 0;
-    last_seq = 0;
-  }
+  let capacity = initial_capacity in
+  let t =
+    {
+      dummy;
+      w_keys = Array.make capacity 0;
+      w_seqs = Array.make capacity 0;
+      w_next = Array.make capacity nil;
+      w_vals = Array.make capacity dummy;
+      heads = Array.make (levels * slots) nil;
+      tails = Array.make (levels * slots) nil;
+      occ = Array.make levels 0;
+      cur = 0;
+      len = 0;
+      free = nil;
+      min_valid = false;
+      min_key = 0;
+      last_key = 0;
+      last_seq = 0;
+    }
+  in
+  link_free t 0 capacity;
+  t
 
 let length t = t.len
 let is_empty t = t.len = 0
+let capacity t = Array.length t.w_keys
+
+let extend a n fill =
+  let b = Array.make n fill in
+  Array.blit a 0 b 0 (Array.length a);
+  b
+
+(* Only reached when every node is queued: the pool then holds [len]
+   live entries and doubles to make room for the next. *)
+let grow t =
+  let cap = Array.length t.w_keys in
+  let ncap = 2 * cap in
+  t.w_keys <- extend t.w_keys ncap 0;
+  t.w_seqs <- extend t.w_seqs ncap 0;
+  t.w_next <- extend t.w_next ncap nil;
+  t.w_vals <- extend t.w_vals ncap t.dummy;
+  link_free t cap ncap
 
 (* Index of the lowest set bit of a nonzero 32-bit mask (De Bruijn). *)
 let debruijn = 0x077CB531
@@ -91,38 +128,34 @@ let level_for t key = level_loop ((key lxor t.cur) lsr bits) 0
 
 let append t lvl slot node =
   let idx = (lvl lsl bits) lor slot in
-  node.next <- t.nil;
-  if t.heads.(idx) == t.nil then begin
+  t.w_next.(node) <- nil;
+  if t.heads.(idx) = nil then begin
     t.heads.(idx) <- node;
     t.occ.(lvl) <- t.occ.(lvl) lor (1 lsl slot)
   end
-  else t.tails.(idx).next <- node;
+  else t.w_next.(t.tails.(idx)) <- node;
   t.tails.(idx) <- node
 
 let place t node =
-  let lvl = level_for t node.key in
-  append t lvl ((node.key lsr (bits * lvl)) land slot_mask) node
+  let key = t.w_keys.(node) in
+  let lvl = level_for t key in
+  append t lvl ((key lsr (bits * lvl)) land slot_mask) node
 
 let add t ~key ~seq value =
   if key < t.cur then
     (invalid_arg
        (Printf.sprintf "Wheel.add: key %d below the pop floor %d" key t.cur)
     [@osiris.alloc_ok "cold error path: raises, never returns"]);
-  let node =
-    if t.free != t.nil then begin
-      let n = t.free in
-      t.free <- n.next;
-      n.key <- key;
-      n.seq <- seq;
-      n.value <- value;
-      n
-    end
-    else
-      ({ key; seq; value; next = t.nil }
-      [@osiris.alloc_ok
-        "freelist warm-up: one node per steady-state queue depth, then \
-         recycled forever"])
-  in
+  if t.free = nil then
+    (grow t
+    [@osiris.alloc_ok
+      "pool warm-up: doubles up to the steady-state queue depth, then \
+       nodes are recycled forever"]);
+  let node = t.free in
+  t.free <- t.w_next.(node);
+  t.w_keys.(node) <- key;
+  t.w_seqs.(node) <- seq;
+  t.w_vals.(node) <- value;
   place t node;
   t.len <- t.len + 1;
   if t.len = 1 || (t.min_valid && key < t.min_key) then begin
@@ -137,8 +170,10 @@ let rec min_level_from t l = if t.occ.(l) = 0 then min_level_from t (l + 1) else
 let min_level t = min_level_from t 0
 
 let rec slot_min t n best =
-  if n == t.nil then best
-  else slot_min t n.next (if n.key < best then n.key else best)
+  if n = nil then best
+  else
+    let k = t.w_keys.(n) in
+    slot_min t t.w_next.(n) (if k < best then k else best)
 
 let next_key t =
   if t.len = 0 then max_int
@@ -147,7 +182,7 @@ let next_key t =
     let lvl = min_level t in
     let slot = lsb_index t.occ.(lvl) in
     let k =
-      if lvl = 0 then t.heads.(slot).key (* level-0 slots hold one key *)
+      if lvl = 0 then t.w_keys.(t.heads.(slot)) (* level-0 slots hold one key *)
       else slot_min t t.heads.((lvl lsl bits) lor slot) max_int
     in
     t.min_valid <- true;
@@ -177,16 +212,16 @@ let rec settle t =
     in
     if base > t.cur then t.cur <- base;
     let head = t.heads.(idx) in
-    t.heads.(idx) <- t.nil;
-    t.tails.(idx) <- t.nil;
+    t.heads.(idx) <- nil;
+    t.tails.(idx) <- nil;
     t.occ.(lvl) <- t.occ.(lvl) land lnot (1 lsl slot);
     replace_all t head;
     settle t
   end
 
 and replace_all t n =
-  if n != t.nil then begin
-    let next = n.next in
+  if n <> nil then begin
+    let next = t.w_next.(n) in
     place t n;
     replace_all t next
   end
@@ -196,9 +231,10 @@ let take t =
   else begin
     let slot = settle t in
     let node = t.heads.(slot) in
-    t.heads.(slot) <- node.next;
-    if node.next == t.nil then begin
-      t.tails.(slot) <- t.nil;
+    let next = t.w_next.(node) in
+    t.heads.(slot) <- next;
+    if next = nil then begin
+      t.tails.(slot) <- nil;
       t.occ.(0) <- t.occ.(0) land lnot (1 lsl slot);
       t.min_valid <- false
     end
@@ -206,13 +242,14 @@ let take t =
       (* A level-0 slot holds exactly one key, so whatever remains in
          this slot is still the global minimum. *)
       t.min_valid <- true;
-      t.min_key <- node.key
+      t.min_key <- t.w_keys.(node)
     end;
     t.len <- t.len - 1;
-    let key = node.key and seq = node.seq and v = node.value in
+    let key = t.w_keys.(node) and seq = t.w_seqs.(node) in
+    let v = t.w_vals.(node) in
     if key > t.cur then t.cur <- key;
-    node.value <- t.dummy;
-    node.next <- t.free;
+    t.w_vals.(node) <- t.dummy;
+    t.w_next.(node) <- t.free;
     t.free <- node;
     t.last_key <- key;
     t.last_seq <- seq;

@@ -7,20 +7,27 @@
     of 32 slots cover the whole int key space; popping an imminent event
     is O(1) and a far-future event is cascaded down at most 12 times
     over its whole lifetime, against O(log n) comparisons per heap
-    operation. Popped nodes are recycled through a freelist with their
-    values cleared, so a drained wheel retains no user data. *)
+    operation. Nodes live in a struct-of-arrays pool (int keys, seqs and
+    links, one value array) that doubles when full; popped nodes are
+    recycled through an int freelist with their values cleared, so a
+    drained wheel retains no user data and steady-state adds and takes
+    allocate nothing. *)
 
 type 'a t
 
 val create : dummy:'a -> 'a t
-(** A fresh empty wheel with the floor at 0. [dummy] is written over a
-    node's value when it is popped, so recycled nodes never pin user
-    data; it is never returned. *)
+(** A fresh empty wheel with the floor at 0 and room for 64 entries
+    before its pool first doubles. [dummy] fills every free node's value
+    slot, so recycled nodes never pin user data; it is never returned. *)
 
 val length : 'a t -> int
 (** Number of entries currently queued. *)
 
 val is_empty : 'a t -> bool
+
+val capacity : 'a t -> int
+(** Nodes in the pool: the most entries the wheel has room for before it
+    next doubles. Never shrinks. *)
 
 val add : 'a t -> key:int -> seq:int -> 'a -> unit
 (** [add t ~key ~seq v] inserts [v] with priority [(key, seq)]. Raises

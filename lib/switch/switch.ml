@@ -253,20 +253,20 @@ let enqueue t p ~out_vci cell =
 let drop_overflow t out_port (cell : Cell.t) =
   t.stats.dropped_overflow <- t.stats.dropped_overflow + 1;
   Metrics.incr t.m_drop_ovf;
-  (Trace.emitf Trace.Link ~now:(Engine.now t.eng)
-     "%s: output queue %d full (%d cells), cell vci %d dropped" t.sw_name
-     out_port t.cfg.queue_cells cell.Cell.vci
-  [@osiris.alloc_ok
-    "drop diagnostics: format value, off in benchmark runs"])
+  if Trace.on Trace.Link then
+    (Trace.emitf Trace.Link ~now:(Engine.now t.eng)
+       "%s: output queue %d full (%d cells), cell vci %d dropped" t.sw_name
+       out_port t.cfg.queue_cells cell.Cell.vci
+    [@osiris.alloc_ok "drop diagnostics: formats only when tracing is on"])
 
 let drop_epd t out_port (cell : Cell.t) ~why =
   t.stats.dropped_epd <- t.stats.dropped_epd + 1;
   Metrics.incr t.m_drop_epd;
-  (Trace.emitf Trace.Link ~now:(Engine.now t.eng)
-     "%s: %s on output queue %d, cell vci %d seq %d dropped" t.sw_name why
-     out_port cell.Cell.vci cell.Cell.seq
-  [@osiris.alloc_ok
-    "drop diagnostics: format value, off in benchmark runs"])
+  if Trace.on Trace.Link then
+    (Trace.emitf Trace.Link ~now:(Engine.now t.eng)
+       "%s: %s on output queue %d, cell vci %d seq %d dropped" t.sw_name why
+       out_port cell.Cell.vci cell.Cell.seq
+    [@osiris.alloc_ok "drop diagnostics: formats only when tracing is on"])
 
 (* Packet-discard (EPD/PPD) admission, Romanow & Floyd style: the fate of
    a PDU is decided once, at its first cell. Admission requires room for
@@ -369,12 +369,12 @@ let ingress_cell t ~port cell =
   | -1 ->
       t.stats.dropped_no_route <- t.stats.dropped_no_route + 1;
       Metrics.incr t.m_drop_route;
-      (Trace.emitf Trace.Link ~now:(Engine.now t.eng)
-         "%s: no route for vci %d on port %d, cell dropped" t.sw_name
-         cell.Cell.vci port
-      [@osiris.alloc_ok
-        "drop diagnostics: emitf builds a format value; tracing is off in \
-         benchmark runs"])
+      if Trace.on Trace.Link then
+        (Trace.emitf Trace.Link ~now:(Engine.now t.eng)
+           "%s: no route for vci %d on port %d, cell dropped" t.sw_name
+           cell.Cell.vci port
+        [@osiris.alloc_ok
+          "drop diagnostics: formats only when tracing is on"])
   | slot ->
       let rv = Ctable.slot_value t.routes slot in
       let out_port = rv lsr 16 and out_vci = rv land 0xffff in
@@ -421,9 +421,10 @@ let set_port_state t ~port up =
   let p = t.ports.(port) in
   if p.up <> up then begin
     p.up <- up;
-    Trace.emitf Trace.Link ~now:(Engine.now t.eng) "%s: port %d %s" t.sw_name
-      port
-      (if up then "up" else "down");
+    if Trace.on Trace.Link then
+      Trace.emitf Trace.Link ~now:(Engine.now t.eng) "%s: port %d %s" t.sw_name
+        port
+        (if up then "up" else "down");
     if up then Signal.broadcast p.out_nonempty
   end
 

@@ -203,8 +203,9 @@ and on_probe t =
     if not (seg t !q).sacked then begin
       t.probe_pending <- true;
       t.stats.tail_probes <- t.stats.tail_probes + 1;
-      Trace.emitf Trace.Protocol ~now:(Engine.now t.eng)
-        "%s: tail-loss probe, seg %d" t.name !q;
+      if Trace.on Trace.Protocol then
+        Trace.emitf Trace.Protocol ~now:(Engine.now t.eng)
+          "%s: tail-loss probe, seg %d" t.name !q;
       transmit t !q ~retransmit:true
     end
   end
@@ -248,8 +249,9 @@ and finish t =
   disarm t;
   disarm_probe t;
   t.state <- Finished;
-  ((Trace.emitf Trace.Protocol ~now:(Engine.now t.eng)
-      "%s: finished (%d segs)" t.name t.nsegs;
+  ((if Trace.on Trace.Protocol then
+      Trace.emitf Trace.Protocol ~now:(Engine.now t.eng)
+        "%s: finished (%d segs)" t.name t.nsegs;
     t.on_state Finished)
   [@osiris.alloc_ok
     "connection teardown: runs once per connection, never per ack"])
@@ -259,8 +261,9 @@ and fail t reason =
   disarm_probe t;
   let st = Failed reason in
   t.state <- st;
-  Trace.emitf Trace.Protocol ~now:(Engine.now t.eng) "%s: FAILED: %s" t.name
-    reason;
+  if Trace.on Trace.Protocol then
+    Trace.emitf Trace.Protocol ~now:(Engine.now t.eng) "%s: FAILED: %s" t.name
+      reason;
   t.on_state st
 
 (* Retransmission timeout: multiplicative decrease to one segment,

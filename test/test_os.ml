@@ -125,8 +125,35 @@ let test_domains () =
     (Vspace.translate vs1 a1 <> Vspace.translate vs2 a2
      || a1 <> a2 (* extremely unlikely to collide, but allow *))
 
+(* A slice that dies mid-way must still hand the CPU back: the next
+   thread runs instead of blocking forever behind a leaked hold. *)
+let test_cpu_released_on_exception () =
+  let eng = Engine.create () in
+  let cpu = Cpu.create eng ~hz:25_000_000 in
+  let failing = ref true in
+  Cpu.set_memory_load cpu (fun _ ->
+      if !failing then begin
+        failing := false;
+        raise Exit
+      end);
+  let caught = ref 0 and next_done = ref (-1) in
+  Process.spawn eng ~name:"dies" (fun () ->
+      (try Cpu.consume cpu 1000 with Exit -> incr caught);
+      try Cpu.with_held cpu (fun () -> raise Exit) with Exit -> incr caught);
+  Process.spawn eng ~name:"next" (fun () ->
+      Cpu.consume cpu 500;
+      next_done := Engine.now eng);
+  Engine.run eng;
+  Alcotest.(check int) "both exceptions reached the thread" 2 !caught;
+  Alcotest.(check int) "next slice ran right after the failed one" 1500
+    !next_done;
+  Alcotest.(check int) "CPU free at the end" 1500
+    (Cpu.busy_stats cpu).Resource.busy_time
+
 let suite =
   [
+    Alcotest.test_case "cpu: exception releases the CPU" `Quick
+      test_cpu_released_on_exception;
     Alcotest.test_case "cpu: serializes threads" `Quick test_cpu_serializes;
     Alcotest.test_case "cpu: priorities" `Quick test_cpu_priorities;
     Alcotest.test_case "cpu: interrupt priority" `Quick

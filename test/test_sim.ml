@@ -324,7 +324,10 @@ let test_heap_releases_popped_values () =
   Gc.full_major ();
   Alcotest.(check bool) "popped heap value collected (heap still alive)"
     true
-    (Weak.get w 0 = None)
+    (Weak.get w 0 = None);
+  (* Use the heap after the collection, or it is garbage too and the
+     check above proves nothing. *)
+  check "heap empty" 0 (Heap.length h)
 
 let test_wheel_releases_popped_values () =
   let wh = Wheel.create ~dummy:Bytes.empty in
@@ -338,7 +341,8 @@ let test_wheel_releases_popped_values () =
   Gc.full_major ();
   Alcotest.(check bool) "popped wheel value collected (wheel still alive)"
     true
-    (Weak.get w 0 = None)
+    (Weak.get w 0 = None);
+  check "wheel empty" 0 (Wheel.length wh)
 
 (* ------------------------------------------------------------------ *)
 (* Timer wheel unit behaviour. *)
@@ -508,6 +512,245 @@ let test_differential_dispatch_chooser () =
     (dispatch_trace ~chooser:11 Engine.Binary_heap)
     (dispatch_trace ~chooser:11 Engine.Timer_wheel)
 
+(* ------------------------------------------------------------------ *)
+(* Wheel pool growth: a wheel that outgrows its initial 64 nodes must
+   double its way up and still agree with the heap entry for entry, and
+   still drop every popped value. *)
+
+let test_wheel_growth_vs_heap () =
+  let wh = Wheel.create ~dummy:(-1) in
+  let hp = Heap.create () in
+  let rng = Osiris_util.Rng.create ~seed:7 in
+  let seq = ref 0 in
+  let add () =
+    let key = Wheel.floor wh + Osiris_util.Rng.int rng 5_000 in
+    Wheel.add wh ~key ~seq:!seq !seq;
+    Heap.add hp ~key ~seq:!seq !seq;
+    incr seq
+  in
+  let pop () =
+    Alcotest.(check (option (triple int int int)))
+      "wheel and heap pop the same entry" (Heap.pop_min hp)
+      (Wheel.pop_min wh)
+  in
+  for _ = 1 to 300 do
+    add ()
+  done;
+  check "pool doubled past its initial capacity" 512 (Wheel.capacity wh);
+  for round = 1 to 2_000 do
+    if round mod 3 = 0 then pop () else add ()
+  done;
+  while not (Wheel.is_empty wh) do
+    pop ()
+  done;
+  pop ();
+  check "drained" 0 (Wheel.length wh)
+
+let test_wheel_grown_releases_values () =
+  let wh = Wheel.create ~dummy:Bytes.empty in
+  let n = 100 in
+  let ws =
+    Array.init n (fun i ->
+        weak_after_pop (fun v -> Wheel.add wh ~key:(i mod 7) ~seq:i v))
+  in
+  Alcotest.(check bool) "pool grew" true (Wheel.capacity wh >= n);
+  while Wheel.pop_min wh <> None do
+    ()
+  done;
+  Gc.full_major ();
+  Alcotest.(check int) "every popped value collected (wheel still alive)" 0
+    (Array.fold_left (fun acc w -> if Weak.get w 0 = None then acc else acc + 1)
+       0 ws);
+  check "wheel empty" 0 (Wheel.length wh)
+
+(* ------------------------------------------------------------------ *)
+(* Allocation pins for the event core. A suspension costs the block the
+   runtime builds for the continuation of the suspended fiber; the
+   engine, the process and the waiter queues add nothing of their own. *)
+
+type _ Effect.t += Probe : unit Effect.t
+
+(* Minor words of one bare perform/continue round trip under a handler
+   that allocates nothing: the runtime's continuation block. *)
+let continuation_words () =
+  let open Effect.Deep in
+  let n = 1_000 in
+  let resume = Some (fun (k : (unit, unit) continuation) -> continue k ()) in
+  let words = ref 0. in
+  match_with
+    (fun () ->
+      let w0 = Gc.minor_words () in
+      for _ = 1 to n do
+        Effect.perform Probe
+      done;
+      words := Gc.minor_words () -. w0)
+    ()
+    {
+      retc = Fun.id;
+      exnc = raise;
+      effc =
+        (fun (type a) (e : a Effect.t) ->
+          match e with
+          | Probe -> (resume : ((a, unit) continuation -> unit) option)
+          | _ -> None);
+    };
+  int_of_float (Float.round (!words /. float_of_int n))
+
+(* Minor words allocated by the rest of a run, after [warm] has brought
+   every pool and queue to its working size. *)
+let run_words eng ~warm =
+  Engine.run ~until:warm eng;
+  let w0 = Gc.minor_words () in
+  Engine.run eng;
+  int_of_float (Gc.minor_words () -. w0)
+
+(* Headroom for what a measured run costs once, not per operation: the
+   [Engine.run] budget closure and the boxed float [Gc.minor_words]
+   returns. *)
+let once = 32
+
+let test_sleep_allocation () =
+  let cont = continuation_words () in
+  Alcotest.(check bool) "continuation block measured" true (cont > 0);
+  let eng = Engine.create () in
+  let n = 2_000 in
+  Process.spawn eng ~name:"sleeper" (fun () ->
+      for _ = 1 to n + 10 do
+        Process.sleep eng 1
+      done);
+  let words = run_words eng ~warm:10 in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d sleeps in %d words (continuation %d)" n words cont)
+    true
+    (words <= (n * cont) + once)
+
+let test_mailbox_allocation () =
+  let eng = Engine.create () in
+  let mb = Mailbox.create eng ~capacity:4 () in
+  let n = 2_000 in
+  (* The receiver blocks on every message; the sender fills the mailbox
+     and then blocks on capacity too. *)
+  Process.spawn eng ~name:"rx" (fun () ->
+      for _ = 1 to n + 100 do
+        ignore (Mailbox.recv mb);
+        Process.sleep eng 1
+      done);
+  Process.spawn eng ~name:"tx" (fun () ->
+      for i = 1 to n + 100 do
+        Mailbox.send mb i
+      done);
+  let words = run_words eng ~warm:100 in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d messages in %d words" n words)
+    true
+    (words <= (8 * n) + once)
+
+let test_signal_resource_allocation () =
+  let cont = continuation_words () in
+  let eng = Engine.create () in
+  let s = Signal.create eng in
+  let res = Resource.create eng ~capacity:1 in
+  let n = 1_000 in
+  (* Upper bound on the suspensions of the measured stretch: every wait
+     and every sleep parks once, and every use at most once more on its
+     acquire. *)
+  let suspensions = ref 0 in
+  for _ = 1 to 3 do
+    Process.spawn eng ~name:"waiter" (fun () ->
+        for _ = 1 to n do
+          incr suspensions;
+          Signal.wait s
+        done)
+  done;
+  Process.spawn eng ~name:"broadcaster" (fun () ->
+      for _ = 1 to n + 1 do
+        incr suspensions;
+        Process.sleep eng 10;
+        Signal.broadcast s
+      done);
+  for _ = 1 to 2 do
+    Process.spawn eng ~name:"user" (fun () ->
+        for _ = 1 to n do
+          suspensions := !suspensions + 2;
+          Resource.use res ~duration:3
+        done)
+  done;
+  Engine.run ~until:50 eng;
+  let s0 = !suspensions in
+  let w0 = Gc.minor_words () in
+  Engine.run eng;
+  let words = int_of_float (Gc.minor_words () -. w0) in
+  let parks = !suspensions - s0 in
+  Alcotest.(check int) "every waiter served" 0 (Signal.waiters s);
+  Alcotest.(check int) "resource free" 0 (Resource.in_use res);
+  Alcotest.(check bool)
+    (Printf.sprintf "%d suspensions in %d words (continuation %d)" parks
+       words cont)
+    true
+    (words <= (parks * cont) + once)
+
+(* ------------------------------------------------------------------ *)
+(* Wakers are one-shot: a second wake, or one left over from an earlier
+   park, is a bug in the blocking primitive and must not resume the
+   process out of turn. *)
+
+let test_wake_generation () =
+  let eng = Engine.create () in
+  let waker = ref None and resumed = ref 0 in
+  Process.spawn eng ~name:"parker" (fun () ->
+      for _ = 1 to 2 do
+        let me = Process.self () in
+        waker := Some (me, Process.generation me);
+        Process.park ();
+        incr resumed
+      done);
+  Engine.run eng;
+  let p, g = Option.get !waker in
+  Process.wake p g;
+  Alcotest.check_raises "double wake"
+    (Invalid_argument "Process: resumer invoked twice") (fun () ->
+      Process.wake p g);
+  Engine.run eng;
+  check "resumed once" 1 !resumed;
+  let p', g' = Option.get !waker in
+  Alcotest.(check bool) "same process, new generation" true
+    (p' == p && g' <> g);
+  Alcotest.check_raises "stale generation"
+    (Invalid_argument "Process: resumer invoked twice") (fun () ->
+      Process.wake p g);
+  Process.wake p' g';
+  Engine.run eng;
+  check "resumed by the current waker" 2 !resumed
+
+let test_park_outside_process () =
+  Alcotest.check_raises "park outside a process" Process.Not_in_process
+    Process.park;
+  Alcotest.check_raises "self outside a process" Process.Not_in_process
+    (fun () -> ignore (Process.self ()))
+
+(* A disabled trace site behind its guard costs nothing: the format, its
+   arguments and the emit call are all skipped. *)
+let test_trace_guard_allocation () =
+  Trace.reset_for_testing ();
+  let n = 10_000 in
+  let measure f =
+    let w0 = Gc.minor_words () in
+    for i = 1 to n do
+      f (Sys.opaque_identity i)
+    done;
+    Gc.minor_words () -. w0
+  in
+  let empty = measure ignore in
+  let guarded =
+    measure (fun i ->
+        if Trace.on Trace.Link then
+          Trace.emitf Trace.Link ~now:i "cell vci=%d seq=%d -> link %d" i
+            (i + 1) (i + 2))
+  in
+  Alcotest.(check (float 0.)) "guarded trace site allocates nothing" 0.
+    (guarded -. empty);
+  check "nothing emitted" 0 (Trace.events_emitted ())
+
 (* Heap property: popping returns keys in nondecreasing order. *)
 let heap_prop =
   QCheck.Test.make ~name:"heap pops sorted" ~count:200
@@ -576,6 +819,22 @@ let suite =
       test_differential_dispatch;
     Alcotest.test_case "differential: wheel vs heap with chooser" `Quick
       test_differential_dispatch_chooser;
+    Alcotest.test_case "wheel: pool growth matches heap" `Quick
+      test_wheel_growth_vs_heap;
+    Alcotest.test_case "wheel: grown pool releases popped values" `Quick
+      test_wheel_grown_releases_values;
+    Alcotest.test_case "alloc: sleep costs the continuation" `Quick
+      test_sleep_allocation;
+    Alcotest.test_case "alloc: mailbox message" `Quick
+      test_mailbox_allocation;
+    Alcotest.test_case "alloc: signal and contended resource" `Quick
+      test_signal_resource_allocation;
+    Alcotest.test_case "process: stale and double wakes raise" `Quick
+      test_wake_generation;
+    Alcotest.test_case "process: park outside a process" `Quick
+      test_park_outside_process;
+    Alcotest.test_case "trace: guarded site allocates nothing" `Quick
+      test_trace_guard_allocation;
     QCheck_alcotest.to_alcotest heap_prop;
     QCheck_alcotest.to_alcotest wheel_model_prop;
     QCheck_alcotest.to_alcotest heap_model_prop;
