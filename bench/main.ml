@@ -76,7 +76,7 @@ module Micro = struct
            let sar = Sar.create (Sar.Per_link 4) ~max_cells:256 in
            Array.iter
              (fun (c : Cell.t) ->
-               ignore (Sar.push sar ~link:(c.Cell.seq mod 4) c))
+               ignore (Sar.push sar ~link:(Cell.seq c mod 4) c))
              cells))
 
   (* figure 4 rests on descriptor-queue operations. *)

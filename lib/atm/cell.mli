@@ -10,20 +10,19 @@
     (end-of-message) bit used by the AAL5-style strategies. The ATM header
     carries the VCI — the early-demultiplexing key — and the extra
     "very last cell of the PDU" framing bit that §2.6 proposes for striped
-    PDUs shorter than the stripe width. *)
+    PDUs shorter than the stripe width, and the congestion bit.
 
-type t = {
-  vci : int;  (** virtual circuit identifier, 16 bits *)
-  seq : int;  (** AAL sequence number: index of this cell within its PDU *)
-  eom : bool;  (** AAL framing bit: last cell of its (per-link) stream *)
-  last_of_pdu : bool;  (** ATM-header framing bit: very last cell of the PDU *)
-  marked : bool;
-      (** ATM-header congestion bit (the EFCI/ECN-CE analogue): set by a
-          switch that enqueues the cell into a deep output queue, carried
-          through reassembly to the receiving host so its transport can
-          echo congestion back to the sender *)
-  data : Bytes.t;  (** exactly {!data_size} bytes of user data *)
-}
+    {2 Cells are views}
+
+    A cell does not own its data. It is one immediate header word plus a
+    view of {!data_size} bytes at {!off} in a buffer {!buf}; every cell
+    cut from one framed PDU views the same buffer. Nothing writes a buffer
+    once cells view it: the operations that change a cell's data
+    ({!corrupt}) copy first, and header rewrites ({!relabel},
+    {!with_seq}) build a new view of the same bytes. A cell can therefore
+    be shared freely, e.g. by a duplicate in flight. *)
+
+type t
 
 val wire_size : int
 (** 53. *)
@@ -40,6 +39,19 @@ val aal_overhead : int
 val data_size : int
 (** 44 = [payload_size - aal_overhead]. *)
 
+val view :
+  vci:int ->
+  seq:int ->
+  eom:bool ->
+  last_of_pdu:bool ->
+  ?marked:bool ->
+  Bytes.t ->
+  off:int ->
+  t
+(** A cell whose data is the {!data_size} bytes at [off] in the buffer.
+    The buffer must not be written afterwards. [vci] and [seq] must fit
+    16 bits. *)
+
 val make :
   vci:int ->
   seq:int ->
@@ -48,20 +60,65 @@ val make :
   ?marked:bool ->
   Bytes.t ->
   t
-(** Build a cell; the data must be exactly {!data_size} bytes and the vci
-    and seq must fit 16 bits. [marked] (default [false]) is the congestion
+(** A cell viewing the whole of [data], which must be exactly
+    {!data_size} bytes. [marked] (default [false]) is the congestion
     bit — hosts never set it at origin; switches do. *)
+
+(** {2 Header fields} *)
+
+val vci : t -> int
+(** Virtual circuit identifier, 16 bits. *)
+
+val seq : t -> int
+(** AAL sequence number: index of this cell within its PDU, 16 bits. *)
+
+val eom : t -> bool
+(** AAL framing bit: last cell of its (per-link) stream. *)
+
+val last_of_pdu : t -> bool
+(** ATM-header framing bit: very last cell of the PDU. *)
+
+val marked : t -> bool
+(** ATM-header congestion bit (the EFCI/ECN-CE analogue): set by a switch
+    that enqueues the cell into a deep output queue, carried through
+    reassembly to the receiving host so its transport can echo congestion
+    back to the sender. *)
+
+val relabel : t -> vci:int -> marked:bool -> t
+(** The same data under a new VCI and congestion bit: the switch's header
+    rewrite. *)
+
+val with_seq : t -> int -> t
+(** The same data under a new sequence number. *)
+
+(** {2 Data} *)
+
+val buf : t -> Bytes.t
+(** The buffer the cell views. Read only. *)
+
+val off : t -> int
+(** Where the cell's data starts in {!buf}. *)
+
+val data : t -> Bytes.t
+(** A fresh copy of the cell's data. *)
+
+(** {2 Wire format} *)
 
 val serialize : t -> Bytes.t
 (** 53-byte wire image, including the header check byte. *)
 
 val parse : Bytes.t -> (t, string) result
-(** Parse a 53-byte wire image; fails on bad length or check byte. *)
+(** Parse a 53-byte wire image; fails on bad length or check byte. The
+    cell views the image's data bytes, so the image must not be written
+    afterwards. *)
 
 val corrupt : t -> byte:int -> t
 (** Copy of the cell with one data byte XORed with [0x5a] — the link-error
-    injection primitive. [byte] is an index into [data]. *)
+    injection primitive. [byte] is an index into the data. The copy has a
+    buffer of its own; the original and every cell sharing its buffer are
+    unchanged. *)
 
 val pp : Format.formatter -> t -> unit
 
 val equal : t -> t -> bool
+(** Same header and same data bytes, wherever the data is held. *)

@@ -43,20 +43,37 @@ val cells_per_pdu : int -> int
 val frame : Bytes.t -> Bytes.t
 (** Pad and append the trailer. *)
 
+val seal : Bytes.t -> len:int -> unit
+(** [seal framed ~len] writes the trailer into a buffer of
+    [framed_len len] bytes whose first [len] bytes are the payload and
+    whose padding is zero: {!frame} without the copy, for a caller that
+    gathered the payload into the framed buffer itself. *)
+
+val trailer_check :
+  framed_len:int ->
+  crc:int32 ->
+  stored_crc:int32 ->
+  len_field:int32 ->
+  (int, string) result
+(** The trailer checks of {!deframe}, for a caller that computed
+    the CRC over the first [framed_len - 4] bytes and read the trailer
+    fields wherever the framed PDU lies. Returns the payload length. *)
+
 val deframe : Bytes.t -> (Bytes.t, string) result
 (** Check length + CRC of a framed PDU and return the original payload.
     Errors on bad CRC (corrupted, mis-placed or stale data). *)
-
-val deframe_check : Bytes.t -> (int, string) result
-(** Like {!deframe} but returns just the payload length, avoiding the
-    copy. *)
 
 val segment : vci:int -> nlinks:int -> Bytes.t -> Cell.t list
 (** Frame a PDU and cut it into cells. [nlinks] is the stripe width the
     cells will be sent over (1 = no striping): it determines which cells
     carry the per-stream framing bit. Cells are returned in transmission
     order with consecutive [seq] numbers; cell [k] belongs to link
-    [k mod nlinks]. *)
+    [k mod nlinks]. Every cell views the one framed buffer. *)
+
+val cell_of_framed : vci:int -> nlinks:int -> Bytes.t -> int -> Cell.t
+(** [cell_of_framed ~vci ~nlinks framed k] is cell [k] of {!segment}'s
+    list for the framed PDU [framed]: a view of its bytes, cut on demand
+    so a sender holds one buffer per PDU rather than a list of cells. *)
 
 (** {2 Reassembly} *)
 
@@ -80,8 +97,21 @@ val create : strategy -> max_cells:int -> t
 val push : t -> link:int -> Cell.t -> outcome
 (** Feed the next cell as received ([link] is the physical link it arrived
     on, used by [Per_link]). The caller is responsible for actually storing
-    [placement.cell.data] at [placement.offset] (the receive processor turns
-    this into a DMA command). *)
+    the data of [placement.cell] at [placement.offset] (the receive
+    processor turns this into a DMA command). *)
+
+val place : t -> link:int -> Cell.t -> int
+(** {!push} without the boxed outcome, for the per-cell receive path: the
+    byte offset at which to store the cell's data, or a negative number
+    when the cell is rejected ({!reject_reason} says why). After a
+    placement, {!completed_len} tells whether it completed the PDU. *)
+
+val completed_len : t -> int
+(** The framed length of the PDU when the last {!place} completed it,
+    else [-1]. *)
+
+val reject_reason : t -> string
+(** Why the last rejected cell was rejected. *)
 
 val cells_received : t -> int
 

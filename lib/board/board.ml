@@ -140,8 +140,14 @@ let make_board_metrics () =
       Metrics.histogram "board.rx.dma_span_bytes" ~lo:0. ~hi:128. ~buckets:16;
   }
 
+(* A PDU being transmitted. It is framed once, at load time, straight
+   from its host buffers into [framed]; its cells are views of that
+   buffer, cut as they are emitted. *)
 type tx_pdu = {
-  cells : Cell.t array;
+  framed : Bytes.t;
+  vci : int;
+  nlinks : int; (* stripe width the PDU was segmented for *)
+  ncells : int;
   data_len : int;
   chain : Desc.t list;
   nchain : int;
@@ -216,19 +222,28 @@ type vc_state = {
          the current PDU already finished; replayed after completion *)
 }
 
+(* Receive-side DMA work for one cell: write its data, which the command
+   views rather than copies, to host memory, then hand the host the
+   buffers that data completed. The data lands in one bus transaction
+   unless it crosses a receive-buffer or page boundary. *)
 type dma_cmd = {
-  spans : (int * Bytes.t) list; (* (phys addr, data) per bus transaction *)
-  ncells : int;
-  post : unit -> unit;
+  cell : Cell.t;
+  addr : int; (* where the first transaction lands *)
+  len : int; (* its length: the whole cell unless the data is split *)
+  more : (int * int) list; (* (phys addr, len) of any further transactions *)
+  vc : vc_state; (* whose channel receives [posts] *)
+  posts : Desc.t list; (* descriptors to post once the data has landed *)
 }
 
-(* Transmit-side DMA work: fetch these spans from host memory, then emit
-   these cells. Queued so the i960's per-cell work overlaps the DMA engine
-   (they are separate units on the board). *)
+(* Transmit-side DMA work: fetch cells [first, first + count) of a PDU
+   from host memory, then emit them. Queued so the i960's per-cell work
+   overlaps the DMA engine (they are separate units on the board). *)
 type tx_fetch_cmd = {
-  f_spans : (int * int) list; (* (phys addr, len) per bus transaction *)
-  f_cells : Cell.t list;
-  f_done : (unit -> unit) option; (* runs after the data is fetched *)
+  f_pdu : tx_pdu;
+  f_ch : channel;
+  f_first : int;
+  f_count : int;
+  f_last : bool; (* the PDU's final fetch: completes it afterwards *)
 }
 
 type t = {
@@ -255,6 +270,7 @@ type t = {
   mutable recv_fn : (unit -> int * Cell.t) option;
   mutable try_recv_fn : (unit -> (int * Cell.t) option) option;
   pending_cells : (int * Cell.t) Queue.t;
+  no_dma : dma_cmd; (* [place_cell]'s answer when buffers run out *)
   mutable rr_cursor : int;
   mutable started : bool;
   m : m;
@@ -295,6 +311,13 @@ let make_channel eng bus cfg id =
     reassert_h = None;
     free_gated = false;
   }
+
+(* Returned by [place_cell] when the PDU must be dropped for lack of
+   buffers; never submitted. *)
+let no_dma vc =
+  { cell = Cell.make ~vci:0 ~seq:0 ~eom:false ~last_of_pdu:false
+      (Bytes.make Cell.data_size '\000');
+    addr = 0; len = 0; more = []; vc; posts = [] }
 
 let create eng ~bus ~mem ~on_interrupt ?(on_dma_write = fun ~addr:_ ~len:_ -> ())
     cfg =
@@ -344,6 +367,7 @@ let create eng ~bus ~mem ~on_interrupt ?(on_dma_write = fun ~addr:_ ~len:_ -> ()
       recv_fn = None;
       try_recv_fn = None;
       pending_cells = Queue.create ();
+      no_dma = no_dma dummy_vc;
       rr_cursor = 0;
       started = false;
       m = make_board_metrics ();
@@ -488,42 +512,8 @@ let demux_vcs t = Ctable.length t.vcs
 let demux_check t =
   List.map (fun s -> "board demux: " ^ s) (Ctable.check t.vcs)
 
-(* ------------------------------------------------------------------ *)
-(* Span arithmetic: cut a byte range of a PDU into the DMA transactions
-   the controller actually issues — one per physical buffer crossing and
-   one per page boundary (the §2.5.2 boundary-stop behaviour). *)
-
-let split_at_pages page_size (addr, len) =
-  let rec go addr len acc =
-    if len = 0 then List.rev acc
-    else begin
-      let to_boundary = page_size - (addr mod page_size) in
-      let chunk = min len to_boundary in
-      go (addr + chunk) (len - chunk) ((addr, chunk) :: acc)
-    end
-  in
-  go addr len []
-
-(* Map [off, off+len) of the PDU data (laid out along the descriptor
-   chain) to physical (addr, len) spans. *)
-let chain_spans chain ~off ~len =
-  let rec go chain off len acc =
-    if len = 0 then List.rev acc
-    else
-      match chain with
-      | [] -> invalid_arg "Board: range beyond descriptor chain"
-      | (d : Desc.t) :: rest ->
-          if off >= d.Desc.len then go rest (off - d.Desc.len) len acc
-          else begin
-            let avail = d.Desc.len - off in
-            let chunk = min len avail in
-            go ((d : Desc.t) :: rest) (off + chunk) (len - chunk)
-              ((d.Desc.addr + off, chunk) :: acc)
-          end
-  in
-  (* A span ending exactly at a descriptor's end advances naturally on the
-     next call because off becomes >= d.len. *)
-  go chain off len []
+(* [Stdlib.min] is polymorphic and compares through the runtime. *)
+let imin (a : int) b = if a < b then a else b
 
 (* ------------------------------------------------------------------ *)
 (* Transmit side. *)
@@ -600,18 +590,26 @@ let try_load_pdu t ch =
                               (if d.Desc.eop then "*" else ""))
                           chain));
                 ch.peek_ahead <- ch.peek_ahead + nchain;
-                let pbufs = List.map Desc.to_pbuf chain in
-                let pdu = Phys_mem.bytes_of_pbufs t.mem pbufs in
-                let vci = (List.hd chain).Desc.vci in
-                let cells =
-                  Array.of_list
-                    (Sar.segment ~vci ~nlinks:(tx_stripe_width t) pdu)
+                let data_len =
+                  List.fold_left (fun n (d : Desc.t) -> n + d.Desc.len) 0 chain
                 in
+                let framed = Bytes.make (Sar.framed_len data_len) '\000' in
+                ignore
+                  (List.fold_left
+                     (fun off (d : Desc.t) ->
+                       Phys_mem.blit_to_bytes t.mem ~src:d.Desc.addr
+                         ~dst:framed ~dst_off:off ~len:d.Desc.len;
+                       off + d.Desc.len)
+                     0 chain);
+                Sar.seal framed ~len:data_len;
                 ch.txst <-
                   Some
                     {
-                      cells;
-                      data_len = Bytes.length pdu;
+                      framed;
+                      vci = (List.hd chain).Desc.vci;
+                      nlinks = tx_stripe_width t;
+                      ncells = Bytes.length framed / Cell.data_size;
+                      data_len;
                       chain;
                       nchain;
                       next = 0;
@@ -619,18 +617,31 @@ let try_load_pdu t ch =
                 true
               end))
 
-(* Physical spans behind cells [k, k+n) of a PDU: what the DMA engine
-   must fetch from host memory. *)
-let fetch_spans t (pdu : tx_pdu) ~k ~n =
-  let lo = k * Cell.data_size in
-  let hi = min ((k + n) * Cell.data_size) pdu.data_len in
-  if hi > lo then
-    List.concat_map
-      (split_at_pages t.cfg.page_size)
-      (chain_spans pdu.chain ~off:lo ~len:(hi - lo))
-  else []
+(* Walk the physical spans behind bytes [off, off + len) of the PDU data
+   laid out along its descriptor chain: one bus transaction per buffer
+   crossing and per page boundary (the §2.5.2 boundary-stop behaviour).
+   Issues a DMA read for each span when [issue]; returns [n] plus the
+   number of spans. *)
+let rec fetch_spans t chain ~off ~len ~issue n =
+  if len = 0 then n
+  else
+    match chain with
+    | [] -> invalid_arg "Board: range beyond descriptor chain"
+    | (d : Desc.t) :: rest ->
+        if off >= d.Desc.len then
+          fetch_spans t rest ~off:(off - d.Desc.len) ~len ~issue n
+        else begin
+          let addr = d.Desc.addr + off in
+          let page = t.cfg.page_size in
+          let chunk =
+            imin (imin len (d.Desc.len - off)) (page - (addr mod page))
+          in
+          if issue then Tc.dma_read t.bus ~bytes:chunk;
+          fetch_spans t chain ~off:(off + chunk) ~len:(len - chunk) ~issue
+            (n + 1)
+        end
 
-let finish_pdu t ch (pdu : tx_pdu) () =
+let finish_pdu t ch (pdu : tx_pdu) =
   (* Update peek_ahead BEFORE the tail advance: board_advance suspends for
      its dual-port accesses after moving the tail, and a transmit-processor
      chain scan overlapping that window must err on the side of reading
@@ -655,7 +666,7 @@ let tx_emit t ch =
   | None -> ()
   | Some pdu ->
       let k = pdu.next in
-      let remaining = Array.length pdu.cells - k in
+      let remaining = pdu.ncells - k in
       let n =
         match t.cfg.dma_mode with
         | Single_cell -> 1
@@ -668,64 +679,75 @@ let tx_emit t ch =
         else t.cfg.tx_cycles_per_cell
       in
       i960_work t cycles;
-      let cells = Array.to_list (Array.sub pdu.cells k n) in
       pdu.next <- k + n;
-      let last = pdu.next >= Array.length pdu.cells in
+      let last = pdu.next >= pdu.ncells in
       if last then ch.txst <- None;
       Mailbox.send t.tx_fetch_q
-        {
-          f_spans = fetch_spans t pdu ~k ~n;
-          f_cells = cells;
-          f_done = (if last then Some (finish_pdu t ch pdu) else None);
-        }
+        { f_pdu = pdu; f_ch = ch; f_first = k; f_count = n; f_last = last }
 
 let tx_dma_engine t () =
   let rec loop () =
     let cmd = Mailbox.recv t.tx_fetch_q in
-    let nspans = List.length cmd.f_spans in
+    let pdu = cmd.f_pdu in
+    let off = cmd.f_first * Cell.data_size in
+    let stop =
+      imin ((cmd.f_first + cmd.f_count) * Cell.data_size) pdu.data_len
+    in
+    let len = if stop > off then stop - off else 0 in
+    let nspans = fetch_spans t pdu.chain ~off ~len ~issue:false 0 in
     Metrics.add t.m.m_dma_tx nspans;
     if nspans > 1 then
       Metrics.add t.m.m_boundary_splits (nspans - 1);
-    List.iter (fun (_addr, len) -> Tc.dma_read t.bus ~bytes:len) cmd.f_spans;
-    List.iter
-      (fun cell ->
-        Mailbox.send t.tx_out cell;
-        Metrics.incr t.m.m_cells_sent)
-      cmd.f_cells;
-    (match cmd.f_done with Some f -> f () | None -> ());
+    ignore (fetch_spans t pdu.chain ~off ~len ~issue:true 0);
+    for k = cmd.f_first to cmd.f_first + cmd.f_count - 1 do
+      Mailbox.send t.tx_out
+        (Sar.cell_of_framed ~vci:pdu.vci ~nlinks:pdu.nlinks pdu.framed k);
+      Metrics.incr t.m.m_cells_sent
+    done;
+    if cmd.f_last then finish_pdu t cmd.f_ch pdu;
     loop ()
   in
   loop ()
 
-(* Strict priority, round-robin within a priority level. Under coarse
-   multiplexing ([Pdu_at_once]) an in-progress PDU is always finished
-   first, regardless of what else is queued. *)
-let pick_tx_channel t =
-  let in_progress =
-    match t.cfg.tx_mux with
-    | Cell_interleave -> None
-    | Pdu_at_once ->
-        Array.fold_left
-          (fun acc ch -> if ch.txst <> None then Some ch else acc)
-          None t.channels
-  in
-  match in_progress with
-  | Some ch -> Some ch
-  | None ->
-  let best = ref None in
-  for i = 0 to t.cfg.n_channels - 1 do
+(* The channel to emit from next, as an index into [t.channels], or -1
+   when none has work. Strict priority, round-robin within a priority
+   level. Under coarse multiplexing ([Pdu_at_once]) an in-progress PDU is
+   always finished first, regardless of what else is queued. *)
+let rec in_progress_channel t i found =
+  if i = t.cfg.n_channels then found
+  else
+    in_progress_channel t (i + 1)
+      (if t.channels.(i).txst <> None then i else found)
+
+(* Every channel is offered [try_load_pdu], in round-robin order, so each
+   loads its next chain as soon as it can. *)
+let rec best_channel t i best =
+  if i = t.cfg.n_channels then best
+  else begin
     let idx = (t.rr_cursor + i) mod t.cfg.n_channels in
     let ch = t.channels.(idx) in
-    if try_load_pdu t ch then
-      match !best with
-      | Some (b, _) when t.channels.(b).priority <= ch.priority -> ()
-      | _ -> best := Some (idx, ch)
-  done;
-  match !best with
-  | None -> None
-  | Some (idx, ch) ->
-      t.rr_cursor <- (idx + 1) mod t.cfg.n_channels;
-      Some ch
+    let best =
+      if
+        try_load_pdu t ch
+        && (best < 0 || t.channels.(best).priority > ch.priority)
+      then idx
+      else best
+    in
+    best_channel t (i + 1) best
+  end
+
+let pick_tx_channel t =
+  let busy =
+    match t.cfg.tx_mux with
+    | Cell_interleave -> -1
+    | Pdu_at_once -> in_progress_channel t 0 (-1)
+  in
+  if busy >= 0 then busy
+  else begin
+    let idx = best_channel t 0 (-1) in
+    if idx >= 0 then t.rr_cursor <- (idx + 1) mod t.cfg.n_channels;
+    idx
+  end
 
 let tx_processor t () =
   let rec loop () =
@@ -733,9 +755,9 @@ let tx_processor t () =
        the scan's dual-port accesses are in progress, the counter moves and
        we rescan instead of sleeping through the (already fired) signal. *)
     let kicks = t.tx_kicks in
-    (match pick_tx_channel t with
-    | Some ch -> tx_emit t ch
-    | None -> if t.tx_kicks = kicks then Signal.wait t.tx_work);
+    let idx = pick_tx_channel t in
+    if idx >= 0 then tx_emit t t.channels.(idx)
+    else if t.tx_kicks = kicks then Signal.wait t.tx_work;
     loop ()
   in
   loop ()
@@ -768,7 +790,7 @@ let recycle_buffers vc =
 
 let take_free_buffer vc =
   match Queue.take_opt vc.fbufs with
-  | Some d -> Some d
+  | Some _ as d -> d
   | None ->
       (* A gated channel sees an empty free queue (the injected
          starvation fault): descriptors the host enqueued stay put, so
@@ -777,25 +799,33 @@ let take_free_buffer vc =
       if vc.channel.free_gated then None
       else Desc_queue.board_dequeue vc.channel.free_q
 
-(* Make sure buffers 0..idx exist for the current PDU; false on buffer
+(* Make sure buffers [i..idx] of the current PDU exist, taking free
+   buffers for the missing ones in index order; false on buffer
    exhaustion. *)
-let ensure_buffers vc idx =
-  let rec go i =
-    if i > idx then true
-    else if bufs_get vc.bufs i <> None then go (i + 1)
-    else
-      match take_free_buffer vc with
-      | None -> false
-      | Some d ->
-          if vc.buf_size = 0 then vc.buf_size <- d.Desc.len
-          else if d.Desc.len <> vc.buf_size then
-            (* The model requires uniform buffer sizes per PDU; drivers
-               supply uniform pools, so treat mismatch as exhaustion. *)
-            failwith "Board: receive buffers of one PDU must be uniform";
-          bufs_set vc.bufs i { bdesc = d; filled = 0; posted = false };
-          go (i + 1)
-  in
-  go 0
+let rec ensure_buffers vc i idx =
+  if i > idx then true
+  else
+    match bufs_get vc.bufs i with
+    | Some _ -> ensure_buffers vc (i + 1) idx
+    | None -> (
+        match
+          (take_free_buffer vc
+          [@osiris.alloc_ok
+            "runs once per receive buffer, not per cell: a pool or \
+             free-queue descriptor (the dequeue suspends for its \
+             dual-port access)"])
+        with
+        | None -> false
+        | Some d ->
+            if vc.buf_size = 0 then vc.buf_size <- d.Desc.len
+            else if d.Desc.len <> vc.buf_size then
+              (* The model requires uniform buffer sizes per PDU; drivers
+                 supply uniform pools, so treat mismatch as exhaustion. *)
+              (failwith "Board: receive buffers of one PDU must be uniform"
+              [@osiris.alloc_ok "cold error path: raises"]);
+            (bufs_set vc.bufs i { bdesc = d; filled = 0; posted = false }
+            [@osiris.alloc_ok "one buffer record per receive buffer"]);
+            ensure_buffers vc (i + 1) idx)
 
 (* Enqueue one filled-buffer descriptor to the host. Runs in the DMA
    engine, after the buffer's final bytes have landed in memory. An
@@ -822,103 +852,124 @@ let deliver_desc t vc ch desc =
 (* Decide, at reassembly-decision time, which buffer descriptors the
    current DMA command must post once its data has landed: the in-order
    prefix of buffers that are now full and, on PDU completion, all the
-   rest. Completion also resets the VC for the next PDU. *)
-let collect_posts t vc ~completed_total =
-  let posts = ref [] in
-  let push_desc idx ~eop ~marked ~len =
-    match bufs_get vc.bufs idx with
-    | None -> ()
-    | Some b ->
-        if not b.posted then begin
-          b.posted <- true;
-          posts :=
-            Desc.v ~addr:b.bdesc.Desc.addr ~len ~vci:vc.vci ~eop ~marked ()
-            :: !posts
-        end
-  in
-  (match completed_total with
-  | None ->
-      let continue = ref true in
-      while !continue do
-        match bufs_get vc.bufs vc.next_post with
-        | Some b when vc.buf_size > 0 && b.filled >= vc.buf_size ->
-            push_desc vc.next_post ~eop:false ~marked:false ~len:vc.buf_size;
-            vc.next_post <- vc.next_post + 1
-        | _ -> continue := false
-      done
-  | Some total ->
-      Metrics.incr t.m.m_pdus_received;
-      (* The PDU's congestion bit, read before [reset_vc] clears the
-         reassembly state, rides on the eop descriptor: one flag per
-         PDU, exactly what the host's transport needs to echo. *)
-      let pdu_marked = Sar.marked_seen vc.sar in
-      let bs = vc.buf_size in
-      let nbufs = if bs = 0 then 0 else (total + bs - 1) / bs in
-      for idx = vc.next_post to nbufs - 1 do
-        let len = min bs (total - (idx * bs)) in
-        let eop = idx = nbufs - 1 in
-        push_desc idx ~eop ~marked:(eop && pdu_marked) ~len
-      done;
-      recycle_buffers vc;
-      reset_vc vc);
-  List.rev !posts
+   rest. Completion also resets the VC for the next PDU. Lists are built
+   only when a buffer is posted, once per buffer rather than per cell. *)
+let post_buffer vc idx ~eop ~marked ~len acc =
+  match bufs_get vc.bufs idx with
+  | Some b when not b.posted ->
+      b.posted <- true;
+      Desc.v ~addr:b.bdesc.Desc.addr ~len ~vci:vc.vci ~eop ~marked () :: acc
+  | _ -> acc
 
-(* Target spans in host memory for a placement at framed-PDU [offset]. *)
-let placement_spans vc ~offset ~len =
-  let rec go offset len acc =
-    if len = 0 then Some (List.rev acc)
-    else if vc.buf_size = 0 then
-      (* The first buffer taken for a PDU fixes its buffer size. *)
-      if ensure_buffers vc 0 then go offset len acc else None
-    else begin
-      let bs = vc.buf_size in
-      let idx = offset / bs in
-      if not (ensure_buffers vc idx) then None
-      else begin
-        let b =
-          match bufs_get vc.bufs idx with
-          | Some b -> b
-          | None -> assert false (* ensure_buffers just filled it *)
-        in
-        let in_buf = offset mod bs in
-        let chunk = min len (bs - in_buf) in
-        go (offset + chunk) (len - chunk)
-          ((idx, b.bdesc.Desc.addr + in_buf, chunk) :: acc)
-      end
-    end
+let rec full_buffers vc acc =
+  match bufs_get vc.bufs vc.next_post with
+  | Some b when vc.buf_size > 0 && b.filled >= vc.buf_size ->
+      let acc =
+        (post_buffer vc vc.next_post ~eop:false ~marked:false ~len:vc.buf_size
+           acc
+        [@osiris.alloc_ok "once per filled receive buffer, not per cell"])
+      in
+      vc.next_post <- vc.next_post + 1;
+      full_buffers vc acc
+  | _ -> acc
+
+let rec final_buffers vc ~total ~marked idx nbufs acc =
+  if idx >= nbufs then acc
+  else begin
+    let bs = vc.buf_size in
+    let eop = idx = nbufs - 1 in
+    final_buffers vc ~total ~marked (idx + 1) nbufs
+      (post_buffer vc idx ~eop ~marked:(eop && marked)
+         ~len:(imin bs (total - (idx * bs)))
+         acc)
+  end
+
+let complete_pdu t vc ~total =
+  Metrics.incr t.m.m_pdus_received;
+  (* The PDU's congestion bit, read before [reset_vc] clears the
+     reassembly state, rides on the eop descriptor: one flag per PDU,
+     exactly what the host's transport needs to echo. *)
+  let marked = Sar.marked_seen vc.sar in
+  let bs = vc.buf_size in
+  let nbufs = if bs = 0 then 0 else (total + bs - 1) / bs in
+  let posts =
+    List.rev (final_buffers vc ~total ~marked vc.next_post nbufs [])
   in
-  go offset len []
+  recycle_buffers vc;
+  reset_vc vc;
+  posts
+
+let collect_posts t vc ~completed_total =
+  if completed_total < 0 then
+    (List.rev (full_buffers vc [])
+    [@osiris.alloc_ok
+      "reverses the descriptors of buffers this cell filled: empty, and \
+       free, for all but one cell per buffer"])
+  else
+    (complete_pdu t vc ~total:completed_total
+    [@osiris.alloc_ok
+      "PDU completion: builds the final descriptors and recycles the \
+       reassembly state, once per PDU"])
+
+(* Where the placement's bytes [pos, stop) of the framed PDU start in host
+   memory, and how many of them one bus transaction moves: up to the end
+   of the receive buffer holding [pos] and of the page holding its
+   address. Needs the buffers to exist ({!ensure_buffers}). *)
+let span_addr vc pos =
+  match bufs_get vc.bufs (pos / vc.buf_size) with
+  | Some b -> b.bdesc.Desc.addr + (pos mod vc.buf_size)
+  | None ->
+      (invalid_arg "Board: placement into a missing buffer"
+      [@osiris.alloc_ok "cold error path: raises"])
+
+let span_len t vc pos stop =
+  let bs = vc.buf_size and page = t.cfg.page_size in
+  imin (imin (stop - pos) (bs - (pos mod bs)))
+    (page - (span_addr vc pos mod page))
+
+(* Charge a span to its buffer's fill level. *)
+let charge vc pos len =
+  match bufs_get vc.bufs (pos / vc.buf_size) with
+  | Some b -> b.filled <- b.filled + len
+  | None -> ()
+
+let rec more_spans t vc pos stop =
+  if pos >= stop then []
+  else begin
+    let addr = span_addr vc pos and len = span_len t vc pos stop in
+    charge vc pos len;
+    (addr, len) :: more_spans t vc (pos + len) stop
+  end
 
 (* Handle a placement decision: update the reassembly bookkeeping
    immediately (the receive processor owns this state) and build the DMA
-   command whose post step delivers any now-complete buffers. Returns None
+   command that writes the cell's data at framed-PDU [offset] and then
+   posts any now-complete buffers. [completed_total] is the framed length
+   when the cell completes its PDU, else negative. Returns [t.no_dma]
    when the PDU must be dropped for lack of buffers. *)
-let dma_cmd_of_placement t vc (p : Sar.placement) ~completed_total =
-  match placement_spans vc ~offset:p.Sar.offset ~len:Cell.data_size with
-  | None -> None
-  | Some spans ->
-      let page_spans =
-        List.concat_map
-          (fun (idx, addr, len) ->
-            List.map
-              (fun (a, l) -> (idx, a, l))
-              (split_at_pages t.cfg.page_size (addr, len)))
-          spans
-      in
-      let data = p.Sar.cell.Cell.data in
-      let pieces = ref [] and off = ref 0 in
-      List.iter
-        (fun (idx, addr, len) ->
-          pieces := (addr, Bytes.sub data !off len) :: !pieces;
-          (match bufs_get vc.bufs idx with
-          | Some b -> b.filled <- b.filled + len
-          | None -> ());
-          off := !off + len)
-        page_spans;
-      let posts = collect_posts t vc ~completed_total in
-      let ch = vc.channel in
-      let post () = List.iter (deliver_desc t vc ch) posts in
-      Some { spans = List.rev !pieces; ncells = 1; post }
+let place_cell t vc cell ~offset ~completed_total =
+  let stop = offset + Cell.data_size in
+  if
+    not
+      ((vc.buf_size > 0 || ensure_buffers vc 0 0)
+      (* the first buffer taken for a PDU fixes its buffer size *)
+      && ensure_buffers vc 0 ((stop - 1) / vc.buf_size))
+  then t.no_dma
+  else begin
+    let addr = span_addr vc offset and len = span_len t vc offset stop in
+    charge vc offset len;
+    let more =
+      if len = Cell.data_size then []
+      else
+        (more_spans t vc (offset + len) stop
+        [@osiris.alloc_ok
+          "only a cell that crosses a buffer or page boundary is split"])
+    in
+    let posts = collect_posts t vc ~completed_total in
+    ({ cell; addr; len; more; vc; posts }
+    [@osiris.alloc_ok
+      "the DMA command: one record per cell, viewing the cell's data"])
+  end
 
 let release_stash t vc = Queue.transfer vc.stash t.pending_cells
 
@@ -945,9 +996,14 @@ let drop_pdu t vc =
   abort_current_pdu t vc ~marker_addr:0;
   vc.dropping <- true
 
-(* Process one received cell: reassembly decision plus DMA submission.
-   Returns the placement when a further cell could be combined with it. *)
-let rx_handle_cell t (phys_link, cell) =
+let submit_dma t cmd =
+  let nspans = 1 + List.length cmd.more in
+  Metrics.add t.m.m_dma_rx nspans;
+  if nspans > 1 then Metrics.add t.m.m_boundary_splits (nspans - 1);
+  Mailbox.send t.rx_dma_q cmd
+
+(* Process one received cell: reassembly decision plus DMA submission. *)
+let rx_handle_cell t phys_link cell =
   Metrics.incr t.m.m_cells_received;
   i960_work t t.cfg.rx_cycles_per_cell;
   (* Physical channel -> logical stripe index. Identity while the trunk is
@@ -960,24 +1016,18 @@ let rx_handle_cell t (phys_link, cell) =
       t.rx_link_map.(phys_link)
     else phys_link
   in
-  if link < 0 then begin
-    Metrics.incr t.m.m_cells_dropped;
-    None
-  end
+  if link < 0 then Metrics.incr t.m.m_cells_dropped
   else
   (* The paper's on-board early demultiplexing (§3.1), now a hashed
      classification step whose probe count the experiments charge to the
      per-cell budget via the machine's cache-cost model. *)
-  match Ctable.find_slot t.vcs cell.Cell.vci with
-  | -1 ->
-      Metrics.incr t.m.m_unknown_vci_cells;
-      None
+  match Ctable.find_slot t.vcs (Cell.vci cell) with
+  | -1 -> Metrics.incr t.m.m_unknown_vci_cells
   | slot ->
       let vc = Ctable.slot_value t.vcs slot in
       if vc.dropping then begin
         Metrics.incr t.m.m_cells_dropped;
-        if cell.Cell.last_of_pdu then vc.dropping <- false;
-        None
+        if Cell.last_of_pdu cell then vc.dropping <- false
       end
       else if Sar.in_progress vc.sar && Sar.link_finished vc.sar ~link then begin
         if Sar.all_links_finished vc.sar then begin
@@ -985,106 +1035,105 @@ let rx_handle_cell t (phys_link, cell) =
              were lost on the wire. Abandon it so the VC cannot wedge. *)
           if Trace.on Trace.Board_rx then
             Trace.emitf Trace.Board_rx ~now:(Engine.now t.eng)
-              "abandon incomplete PDU vci=%d (lost cells)" cell.Cell.vci;
+              "abandon incomplete PDU vci=%d (lost cells)" (Cell.vci cell);
           Metrics.incr t.m.m_reassembly_errors;
           abort_current_pdu t vc ~marker_addr:0;
           (* reprocess this cell against the fresh state, after the
              released stash *)
-          Queue.add (phys_link, cell) t.pending_cells;
-          None
+          Queue.add (phys_link, cell) t.pending_cells
         end
         else begin
           (* This link's share of the current PDU is done: the cell starts
              the next PDU. Hold it until the current one completes. *)
           if Trace.on Trace.Board_rx then
             Trace.emitf Trace.Board_rx ~now:(Engine.now t.eng)
-              "stash vci=%d seq=%d link=%d" cell.Cell.vci cell.Cell.seq link;
-          Queue.add (phys_link, cell) vc.stash;
-          None
+              "stash vci=%d seq=%d link=%d" (Cell.vci cell) (Cell.seq cell)
+              link;
+          Queue.add (phys_link, cell) vc.stash
         end
       end
       else begin
         let was_in_progress = Sar.in_progress vc.sar in
-        match Sar.push vc.sar ~link cell with
-        | Sar.Rejected reason ->
-            if Trace.on Trace.Board_rx then
-              Trace.emitf Trace.Board_rx ~now:(Engine.now t.eng)
-                "reject vci=%d seq=%d link=%d: %s" cell.Cell.vci cell.Cell.seq
-                link reason;
-            Metrics.incr t.m.m_reassembly_errors;
-            Metrics.incr t.m.m_cells_dropped;
-            abort_current_pdu t vc ~marker_addr:0;
-            None
-        | Sar.Placed p -> (
+        let offset = Sar.place vc.sar ~link cell in
+        if offset < 0 then begin
+          if Trace.on Trace.Board_rx then
+            Trace.emitf Trace.Board_rx ~now:(Engine.now t.eng)
+              "reject vci=%d seq=%d link=%d: %s" (Cell.vci cell)
+              (Cell.seq cell) link (Sar.reject_reason vc.sar);
+          Metrics.incr t.m.m_reassembly_errors;
+          Metrics.incr t.m.m_cells_dropped;
+          abort_current_pdu t vc ~marker_addr:0
+        end
+        else begin
+          let completed_total = Sar.completed_len vc.sar in
+          if completed_total < 0 then begin
             (* Progress for the timeout sweeper: the timer is an
                inactivity bound, restarted by every placement. Wake the
                sweeper when this VC (re)enters reassembly. *)
             vc.last_progress <- Engine.now t.eng;
             if (not was_in_progress) && t.cfg.reassembly_timeout > 0 then
-              Signal.broadcast t.sweep_work;
-            match dma_cmd_of_placement t vc p ~completed_total:None with
-            | None ->
-                drop_pdu t vc;
-                None
-            | Some cmd -> Some (vc, p, cmd, false))
-        | Sar.Completed (p, total) -> (
-            (* Release any held next-PDU cells for reprocessing, in
-               arrival order, ahead of new arrivals. *)
-            let release () = release_stash t vc in
-            match
-              dma_cmd_of_placement t vc p ~completed_total:(Some total)
-            with
-            | None ->
-                drop_pdu t vc;
-                release ();
-                None
-            | Some cmd ->
-                release ();
-                Some (vc, p, cmd, true))
+              Signal.broadcast t.sweep_work
+          end;
+          let cmd = place_cell t vc cell ~offset ~completed_total in
+          if cmd == t.no_dma then drop_pdu t vc;
+          (* A completed PDU releases any held next-PDU cells for
+             reprocessing, in arrival order, ahead of new arrivals. *)
+          if completed_total >= 0 then release_stash t vc;
+          if cmd != t.no_dma then submit_dma t cmd
+        end
       end
 
 (* Can a second cell's DMA be merged with the first's? Only when the two
    payloads are physically consecutive and in the same page. *)
 let combinable (cmd1 : dma_cmd) (cmd2 : dma_cmd) ~page_size =
-  match (cmd1.spans, cmd2.spans) with
-  | [ (a1, d1) ], [ (a2, _) ] ->
-      a2 = a1 + Bytes.length d1 && a1 / page_size = (a2 + 43) / page_size
-  | _ -> false
-
-let submit_dma t cmd =
-  Metrics.add t.m.m_dma_rx (List.length cmd.spans);
-  if List.length cmd.spans > 1 then
-    Metrics.add t.m.m_boundary_splits (List.length cmd.spans - 1);
-  Mailbox.send t.rx_dma_q cmd
+  cmd1.more = [] && cmd2.more = []
+  && cmd2.addr = cmd1.addr + cmd1.len
+  && cmd1.addr / page_size = (cmd2.addr + cmd2.len - 1) / page_size
 
 let rx_processor t () =
-  let recv () =
-    match Queue.take_opt t.pending_cells with
-    | Some c -> c
-    | None -> (
-        match t.recv_fn with
-        | Some f -> f ()
-        | None -> failwith "Board: receive side not attached")
-  in
   let rec loop () =
-    let c1 = recv () in
-    (match rx_handle_cell t c1 with
-    | None -> ()
-    | Some (_vc, _p, cmd, _done1) -> submit_dma t cmd);
+    let phys_link, cell =
+      match Queue.take_opt t.pending_cells with
+      | Some c -> c
+      | None -> (
+          match t.recv_fn with
+          | Some f -> f ()
+          | None -> failwith "Board: receive side not attached")
+    in
+    rx_handle_cell t phys_link cell;
     loop ()
   in
   loop ()
 
+(* Move [len] bytes of a command's cell data, from [src] on, to [addr]. *)
+let blit_cell t (cmd : dma_cmd) ~src ~addr ~len =
+  Phys_mem.blit_from_bytes t.mem ~src:(Cell.buf cmd.cell)
+    ~src_off:(Cell.off cmd.cell + src) ~dst:addr ~len
+
+(* The bus cost of one [len]-byte transaction. *)
+let dma_transaction t ~len =
+  Hist.add_int t.m.m_dma_bytes len;
+  Tc.dma_write t.bus ~bytes:len
+
+let post t (cmd : dma_cmd) =
+  match cmd.posts with
+  | [] -> ()
+  | posts -> List.iter (deliver_desc t cmd.vc cmd.vc.channel) posts
+
+(* The command's transactions from the one landing at [addr], which
+   carries the cell's data from [src] on. *)
+let rec exec_spans t (cmd : dma_cmd) ~src ~addr ~len more =
+  dma_transaction t ~len;
+  blit_cell t cmd ~src ~addr ~len;
+  t.on_dma_write ~addr ~len;
+  match more with
+  | [] -> ()
+  | (addr', len') :: rest ->
+      exec_spans t cmd ~src:(src + len) ~addr:addr' ~len:len' rest
+
 let exec_dma t (cmd : dma_cmd) =
-  List.iter
-    (fun (addr, data) ->
-      Hist.add t.m.m_dma_bytes (float_of_int (Bytes.length data));
-      Tc.dma_write t.bus ~bytes:(Bytes.length data);
-      Phys_mem.blit_from_bytes t.mem ~src:data ~src_off:0 ~dst:addr
-        ~len:(Bytes.length data);
-      t.on_dma_write ~addr ~len:(Bytes.length data))
-    cmd.spans;
-  cmd.post ()
+  exec_spans t cmd ~src:0 ~addr:cmd.addr ~len:cmd.len cmd.more;
+  post t cmd
 
 let rx_dma_engine t () =
   let rec loop () =
@@ -1099,17 +1148,14 @@ let rx_dma_engine t () =
        else None
      with
     | Some cmd2 when combinable cmd1 cmd2 ~page_size:t.cfg.page_size ->
-        let a1, d1 = List.hd cmd1.spans in
-        let _, d2 = List.hd cmd2.spans in
-        let merged = Bytes.cat d1 d2 in
+        let len = cmd1.len + cmd2.len in
         Metrics.incr t.m.m_combined_dmas;
-        Hist.add t.m.m_dma_bytes (float_of_int (Bytes.length merged));
-        Tc.dma_write t.bus ~bytes:(Bytes.length merged);
-        Phys_mem.blit_from_bytes t.mem ~src:merged ~src_off:0 ~dst:a1
-          ~len:(Bytes.length merged);
-        t.on_dma_write ~addr:a1 ~len:(Bytes.length merged);
-        cmd1.post ();
-        cmd2.post ()
+        dma_transaction t ~len;
+        blit_cell t cmd1 ~src:0 ~addr:cmd1.addr ~len:cmd1.len;
+        blit_cell t cmd2 ~src:0 ~addr:cmd2.addr ~len:cmd2.len;
+        t.on_dma_write ~addr:cmd1.addr ~len;
+        post t cmd1;
+        post t cmd2
     | Some cmd2 ->
         exec_dma t cmd1;
         exec_dma t cmd2
@@ -1257,7 +1303,7 @@ let start_fictitious_source t ~pdus ?rate_mbps () =
         let cell = cells.(i) in
         (* Blocks when the FIFO is full: "as fast as the receiving host
            could absorb them". *)
-        Mailbox.send mbox (cell.Cell.seq mod t.cfg.nlinks, cell);
+        Mailbox.send mbox (Cell.seq cell mod t.cfg.nlinks, cell);
         loop ((i + 1) mod Array.length cells)
           (max next (Engine.now t.eng - (8 * inter_cell_ns)) + inter_cell_ns)
       in
@@ -1295,7 +1341,7 @@ let debug_tx_state t =
            let st =
              match ch.txst with
              | None -> "-"
-             | Some p -> Printf.sprintf "%d/%d" p.next (Array.length p.cells)
+             | Some p -> Printf.sprintf "%d/%d" p.next p.ncells
            in
            if q = 0 && ch.txst = None then None
            else Some (Printf.sprintf "ch%d{q=%d ahead=%d pdu=%s}" ch.id q

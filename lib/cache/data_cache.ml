@@ -142,24 +142,28 @@ let write t ~addr ~src =
      the write buffer into a burst. *)
   Tc.cpu_access t.bus ~bytes:len ~overhead_cycles:1
 
+(* [f] takes the cache explicitly so that it can be a top-level function:
+   the per-DMA and per-invalidate walks then build no closure. *)
 let iter_lines t ~addr ~len f =
   if len > 0 then begin
     let first = line_tag addr t.cfg.line_size in
     let last = line_tag (addr + len - 1) t.cfg.line_size in
     for tag = first to last do
-      f tag t.lines.(line_index t (line_base tag t.cfg.line_size))
+      f t tag t.lines.(line_index t (line_base tag t.cfg.line_size))
     done
+  end
+
+let invalidate_line t tag line =
+  if line.valid && line.tag = tag then begin
+    line.valid <- false;
+    Metrics.incr t.m.m_invalidated_lines
   end
 
 let invalidate t ~addr ~len =
   let words = (len + 3) / 4 in
   Process.sleep t.eng
     (cpu_cycles_ns t (words * t.cfg.invalidate_cycles_per_word));
-  iter_lines t ~addr ~len (fun tag line ->
-      if line.valid && line.tag = tag then begin
-        line.valid <- false;
-        Metrics.incr t.m.m_invalidated_lines
-      end)
+  iter_lines t ~addr ~len invalidate_line
 
 let invalidate_all t =
   Array.iter
@@ -177,21 +181,21 @@ let pressure t ~lines =
     t.pressure_cursor <- (t.pressure_cursor + 1) mod t.nlines
   done
 
-let dma_wrote t ~addr ~len =
-  iter_lines t ~addr ~len (fun tag line ->
-      match t.cfg.coherence with
-      | Hardware_update ->
-          (* The 3000/600's second-level cache is updated (and, as modelled
-             here, allocated) by DMA writes, so arriving network data can
-             be read back at cache speed (paper §2.7/§4). *)
-          Phys_mem.blit_to_bytes t.mem
-            ~src:(line_base tag t.cfg.line_size)
-            ~dst:line.data ~dst_off:0 ~len:t.cfg.line_size;
-          line.tag <- tag;
-          line.valid <- true
-      | Software ->
-          if line.valid && line.tag = tag then
-            Metrics.incr t.m.m_stale_overlaps)
+let dma_wrote_line t tag line =
+  match t.cfg.coherence with
+  | Hardware_update ->
+      (* The 3000/600's second-level cache is updated (and, as modelled
+         here, allocated) by DMA writes, so arriving network data can be
+         read back at cache speed (paper §2.7/§4). *)
+      Phys_mem.blit_to_bytes t.mem
+        ~src:(line_base tag t.cfg.line_size)
+        ~dst:line.data ~dst_off:0 ~len:t.cfg.line_size;
+      line.tag <- tag;
+      line.valid <- true
+  | Software ->
+      if line.valid && line.tag = tag then Metrics.incr t.m.m_stale_overlaps
+
+let dma_wrote t ~addr ~len = iter_lines t ~addr ~len dma_wrote_line
 
 let resident t ~addr =
   let line = t.lines.(line_index t addr) in

@@ -120,7 +120,7 @@ let switch_datapath ?(queue_cells = 3) ?(items = 8) () eng =
       while (not (settled ())) && !empties <= max_stalls do
         (match Switch.drain_one sw ~port:1 with
         | Some cell ->
-            if cell.Cell.vci <> 20 then incr bad_rewrites;
+            if Cell.vci cell <> 20 then incr bad_rewrites;
             incr drained;
             empties := 0
         | None -> incr empties);

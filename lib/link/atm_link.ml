@@ -65,6 +65,20 @@ type m = {
   m_link_transitions : Metrics.counter;
 }
 
+(* Cells in flight on one channel, in the order their arrival events were
+   scheduled: a ring of (cell, trunk seq, dup) with one reusable engine
+   handle per slot. Arrival times on a channel strictly increase, so the
+   channel's events fire in ring order: each firing takes the oldest
+   entry, and its slot's handle is the one that just fired, free to be
+   re-armed by the next cell placed there. *)
+type wire = {
+  mutable w_cells : Cell.t array;
+  mutable w_tags : int array; (* trunk seq lsl 1, lor 1 for a duplicate *)
+  mutable w_handles : Engine.handle array;
+  mutable first : int;
+  mutable count : int;
+}
+
 type t = {
   eng : Engine.t;
   rng : Rng.t;
@@ -87,6 +101,7 @@ type t = {
   mutable rx_limit : int; (* rx FIFO squeeze (<= rx_fifo_cells) *)
   mutable cell_filter : (int -> Cell.t -> bool) option;
   mutable on_change : (unit -> unit) list;
+  wires : wire array; (* per-channel in-flight deliveries *)
   m : m;
 }
 
@@ -118,6 +133,15 @@ let create eng rng cfg =
     rx_limit = cfg.rx_fifo_cells;
     cell_filter = None;
     on_change = [];
+    wires =
+      Array.init cfg.nlinks (fun _ ->
+          {
+            w_cells = [||];
+            w_tags = [||];
+            w_handles = [||];
+            first = 0;
+            count = 0;
+          });
     m =
       {
         m_sent = Metrics.counter "link.cells_sent";
@@ -177,35 +201,87 @@ let deliver t link seq ~dup cell =
     (* Carrier dropped while the cell was in flight. *)
     Metrics.incr t.m.m_dropped_link_down;
     if Trace.on Trace.Fault then
-      Trace.emitf Trace.Fault ~now:(Engine.now t.eng)
-        "cell lost to dead link %d trunk_seq=%d" link seq
+      (Trace.emitf Trace.Fault ~now:(Engine.now t.eng)
+         "cell lost to dead link %d trunk_seq=%d" link seq
+      [@osiris.alloc_ok "fault diagnostics: formats only when tracing on"])
   end
   else
     match t.cell_filter with
-    | Some f when not (f link cell) ->
+    | Some f
+      when not
+             (f link cell
+             [@osiris.alloc_ok
+               "fault-injection filter: installed only by fault plans"]) ->
         Metrics.incr t.m.m_dropped_net;
         if Trace.on Trace.Fault then
-          Trace.emitf Trace.Fault ~now:(Engine.now t.eng)
-            "cell filtered on link %d trunk_seq=%d" link seq
+          (Trace.emitf Trace.Fault ~now:(Engine.now t.eng)
+             "cell filtered on link %d trunk_seq=%d" link seq
+          [@osiris.alloc_ok "fault diagnostics: formats only when tracing on"])
     | _ ->
         if dup then Metrics.incr t.m.m_duplicated
         else if seq > t.max_delivered_seq then t.max_delivered_seq <- seq
         else begin
           Metrics.incr t.m.m_reordered;
           if Trace.on Trace.Link then
-            Trace.emitf Trace.Link ~now:(Engine.now t.eng)
-              "reordered arrival link=%d trunk_seq=%d" link seq
+            (Trace.emitf Trace.Link ~now:(Engine.now t.eng)
+               "reordered arrival link=%d trunk_seq=%d" link seq
+            [@osiris.alloc_ok "diagnostics: formats only when tracing is on"])
         end;
         if
           Mailbox.length t.inbox < t.rx_limit
-          && Mailbox.try_send t.inbox (link, cell)
+          && Mailbox.try_send t.inbox
+               ((link, cell)
+               [@osiris.alloc_ok
+                 "the receive FIFO's (channel, cell) entry is the link's \
+                  output contract: one pair per delivered cell"])
         then Metrics.incr t.m.m_delivered
         else begin
           Metrics.incr t.m.m_dropped_fifo;
           if Trace.on Trace.Link then
-            Trace.emitf Trace.Link ~now:(Engine.now t.eng)
-              "rx fifo overflow link=%d trunk_seq=%d" link seq
+            (Trace.emitf Trace.Link ~now:(Engine.now t.eng)
+               "rx fifo overflow link=%d trunk_seq=%d" link seq
+            [@osiris.alloc_ok "diagnostics: formats only when tracing is on"])
         end
+
+(* The arrival event of channel [l]: its oldest in-flight cell lands. *)
+let arrive t l =
+  let w = t.wires.(l) in
+  let i = w.first in
+  let cell = w.w_cells.(i) and tag = w.w_tags.(i) in
+  w.first <- (if i + 1 = Array.length w.w_cells then 0 else i + 1);
+  w.count <- w.count - 1;
+  deliver t l (tag lsr 1) ~dup:(tag land 1 = 1) cell
+
+(* Double channel [l]'s ring, oldest entry first, keeping each queued
+   entry's handle with it; the new slots get fresh handles. A landed slot
+   keeps its cell until reused, so at most one ring of cells per channel
+   stays reachable after landing. *)
+let grow t l filler =
+  let w = t.wires.(l) in
+  let n = Array.length w.w_cells in
+  let cap = max 8 (2 * n) in
+  let at i = (w.first + i) mod n in
+  let fresh _ = Engine.handle (fun () -> arrive t l) in
+  w.w_cells <-
+    Array.init cap (fun i -> if i < n then w.w_cells.(at i) else filler);
+  w.w_tags <- Array.init cap (fun i -> if i < n then w.w_tags.(at i) else 0);
+  w.w_handles <-
+    Array.init cap (fun i -> if i < n then w.w_handles.(at i) else fresh i);
+  w.first <- 0
+
+(* Put [cell] in flight on channel [l], landing at [time]. *)
+let launch t l ~time ~seq ~dup cell =
+  let w = t.wires.(l) in
+  if w.count = Array.length w.w_cells then
+    (grow t l cell
+    [@osiris.alloc_ok
+      "the ring doubles until it holds the channel's deepest backlog, \
+       then every launch reuses a slot and its handle"]);
+  let i = (w.first + w.count) mod Array.length w.w_cells in
+  w.w_cells.(i) <- cell;
+  w.w_tags.(i) <- (seq lsl 1) lor if dup then 1 else 0;
+  w.count <- w.count + 1;
+  Engine.reschedule_at t.eng ~time w.w_handles.(i)
 
 let send t cell =
   (* Cell k of a PDU travels on link k mod n (paper 2.6): the link choice
@@ -227,20 +303,20 @@ let send t cell =
         "cell lost: all links down trunk_seq=%d" seq
   end
   else begin
-    let l = t.live.(cell.Cell.seq mod nlive) in
+    let l = t.live.(Cell.seq cell mod nlive) in
     if Trace.on Trace.Link then
       Trace.emitf Trace.Link ~now:(Engine.now t.eng)
-        "cell vci=%d seq=%d -> link %d" cell.Cell.vci cell.Cell.seq l;
+        "cell vci=%d seq=%d -> link %d" (Cell.vci cell) (Cell.seq cell) l;
     (* Backpressure: the channel's output FIFO lets us book at most
        [tx_fifo_cells] cell-times ahead of the present. *)
-    let horizon () = Engine.now t.eng + (t.cfg.tx_fifo_cells * t.cell_time) in
-    if t.busy_until.(l) > horizon () then
-      Process.sleep t.eng (t.busy_until.(l) - horizon ());
+    let horizon = Engine.now t.eng + (t.cfg.tx_fifo_cells * t.cell_time) in
+    if t.busy_until.(l) > horizon then
+      Process.sleep t.eng (t.busy_until.(l) - horizon);
     let now = Engine.now t.eng in
     let start = max now t.busy_until.(l) in
     let finish = start + t.cell_time in
     t.busy_until.(l) <- finish;
-    if Rng.float t.rng 1.0 < t.drop_prob then begin
+    if Rng.chance t.rng t.drop_prob then begin
       Metrics.incr t.m.m_dropped_net;
       if Trace.on Trace.Link then
         Trace.emitf Trace.Link ~now:(Engine.now t.eng)
@@ -248,7 +324,7 @@ let send t cell =
     end
     else begin
       let cell =
-        if Rng.float t.rng 1.0 < t.corrupt_prob then begin
+        if Rng.chance t.rng t.corrupt_prob then begin
           Metrics.incr t.m.m_corrupted;
           Cell.corrupt cell ~byte:(Rng.int t.rng Cell.data_size)
         end
@@ -261,23 +337,24 @@ let send t cell =
       let cell =
         if
           t.corrupt_header_prob > 0.0
-          && Rng.float t.rng 1.0 < t.corrupt_header_prob
+          && Rng.chance t.rng t.corrupt_header_prob
         then begin
           Metrics.incr t.m.m_header_corrupted;
           let flip = 1 + Rng.int t.rng 7 in
           if Rng.bool t.rng then begin
             if Trace.on Trace.Fault then
               Trace.emitf Trace.Fault ~now:(Engine.now t.eng)
-                "header corrupt vci %d -> %d trunk_seq=%d" cell.Cell.vci
-                (cell.Cell.vci lxor flip) seq;
-            { cell with Cell.vci = cell.Cell.vci lxor flip }
+                "header corrupt vci %d -> %d trunk_seq=%d" (Cell.vci cell)
+                (Cell.vci cell lxor flip) seq;
+            Cell.relabel cell ~vci:(Cell.vci cell lxor flip)
+              ~marked:(Cell.marked cell)
           end
           else begin
             if Trace.on Trace.Fault then
               Trace.emitf Trace.Fault ~now:(Engine.now t.eng)
-                "header corrupt seq %d -> %d trunk_seq=%d" cell.Cell.seq
-                (cell.Cell.seq lxor flip) seq;
-            { cell with Cell.seq = cell.Cell.seq lxor flip }
+                "header corrupt seq %d -> %d trunk_seq=%d" (Cell.seq cell)
+                (Cell.seq cell lxor flip) seq;
+            Cell.with_seq cell (Cell.seq cell lxor flip)
           end
         end
         else cell
@@ -293,10 +370,8 @@ let send t cell =
       (* Cells on one channel arrive in order and no faster than the wire. *)
       let arrival = max arrival (t.last_delivery.(l) + t.cell_time) in
       t.last_delivery.(l) <- arrival;
-      ignore
-        (Engine.schedule_at t.eng ~time:arrival (fun () ->
-             deliver t l seq ~dup:false cell));
-      if t.dup_prob > 0.0 && Rng.float t.rng 1.0 < t.dup_prob then begin
+      launch t l ~time:arrival ~seq ~dup:false cell;
+      if t.dup_prob > 0.0 && Rng.chance t.rng t.dup_prob then begin
         (* A duplicated cell follows its original on the same channel one
            cell-time later, respecting per-channel FIFO order. *)
         let arrival2 = t.last_delivery.(l) + t.cell_time in
@@ -304,9 +379,7 @@ let send t cell =
         if Trace.on Trace.Fault then
           Trace.emitf Trace.Fault ~now:(Engine.now t.eng)
             "cell duplicated on link %d trunk_seq=%d" l seq;
-        ignore
-          (Engine.schedule_at t.eng ~time:arrival2 (fun () ->
-               deliver t l seq ~dup:true cell))
+        launch t l ~time:arrival2 ~seq ~dup:true cell
       end
     end
   end

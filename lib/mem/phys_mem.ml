@@ -278,6 +278,18 @@ let region_equal t ~addr b ~off ~len =
     [@osiris.alloc_ok "cold out-of-bounds path: raises"]);
   pages_equal t addr b off len
 
+let rec fold_pages t addr len f acc =
+  if len = 0 then acc
+  else begin
+    let n = chunk t addr len in
+    let acc = f (page t addr) (addr land t.mask) n acc in
+    fold_pages t (addr + n) (len - n) f acc
+  end
+
+let fold_chunks t ~addr ~len f acc =
+  check t addr len;
+  fold_pages t addr len f acc
+
 let bytes_of_region t ~addr ~len =
   check t addr len;
   let out = Bytes.create len in

@@ -60,6 +60,15 @@ val region_equal : t -> addr:int -> Bytes.t -> off:int -> len:int -> bool
     [addr] equal those of [b] from [off]. It compares in place and does not
     allocate. *)
 
+val fold_chunks :
+  t -> addr:int -> len:int -> (Bytes.t -> int -> int -> 'a -> 'a) -> 'a -> 'a
+(** [fold_chunks t ~addr ~len f acc] folds [f bytes off n] over the
+    region in address order, one storage page at a time: each call sees
+    the next [n] bytes of the region at [off] in [bytes]. This reads the
+    region in place, without a copy; [bytes] is the memory's own storage
+    (for an untouched page, the shared zero page), so [f] must only read
+    it. *)
+
 val bytes_of_region : t -> addr:int -> len:int -> Bytes.t
 (** Copy of a region, for assertions and checksum computation. *)
 

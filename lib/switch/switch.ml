@@ -225,19 +225,20 @@ let enqueue t p ~out_vci cell =
   let mark =
     t.cfg.mark_threshold > 0 && p.q_len + p.in_flight >= t.cfg.mark_threshold
   in
-  (* Cells are immutable records shared with in-flight deliveries
+  (* Cells are immutable views shared with in-flight deliveries
      (fault injection can alias one cell across two arrivals), so
-     the VCI rewrite and the mark must copy — but only when they
-     change anything. *)
+     the VCI rewrite and the mark build a new view of the same data —
+     but only when they change anything. *)
   let cell =
-    if cell.Cell.vci = out_vci && (cell.Cell.marked || not mark) then cell
+    if Cell.vci cell = out_vci && (Cell.marked cell || not mark) then cell
     else
-      ({ cell with Cell.vci = out_vci; marked = cell.Cell.marked || mark }
+      (Cell.relabel cell ~vci:out_vci ~marked:(Cell.marked cell || mark)
       [@osiris.alloc_ok
-        "header rewrite must copy: cells are immutable and may be aliased \
-         by in-flight deliveries; skipped when nothing changes"])
+        "header rewrite builds a new view (header word plus the shared \
+         data): cells are immutable and may be aliased by in-flight \
+         deliveries; skipped when nothing changes"])
   in
-  if cell.Cell.marked then begin
+  if Cell.marked cell then begin
     t.stats.marked <- t.stats.marked + 1;
     t.marked_queued <- t.marked_queued + 1;
     Metrics.incr t.m_marked
@@ -256,7 +257,7 @@ let drop_overflow t out_port (cell : Cell.t) =
   if Trace.on Trace.Link then
     (Trace.emitf Trace.Link ~now:(Engine.now t.eng)
        "%s: output queue %d full (%d cells), cell vci %d dropped" t.sw_name
-       out_port t.cfg.queue_cells cell.Cell.vci
+       out_port t.cfg.queue_cells (Cell.vci cell)
     [@osiris.alloc_ok "drop diagnostics: formats only when tracing is on"])
 
 let drop_epd t out_port (cell : Cell.t) ~why =
@@ -265,7 +266,7 @@ let drop_epd t out_port (cell : Cell.t) ~why =
   if Trace.on Trace.Link then
     (Trace.emitf Trace.Link ~now:(Engine.now t.eng)
        "%s: %s on output queue %d, cell vci %d seq %d dropped" t.sw_name why
-       out_port cell.Cell.vci cell.Cell.seq
+       out_port (Cell.vci cell) (Cell.seq cell)
     [@osiris.alloc_ok "drop diagnostics: formats only when tracing is on"])
 
 (* Packet-discard (EPD/PPD) admission, Romanow & Floyd style: the fate of
@@ -283,13 +284,13 @@ let drop_epd t out_port (cell : Cell.t) ~why =
    reassembly timeout fires. *)
 let ingress_cell_epd t ~in_port ~out_port ~out_vci (cell : Cell.t) =
   let p = t.ports.(out_port) in
-  let key = pack in_port cell.Cell.vci in
+  let key = pack in_port (Cell.vci cell) in
   (* seq 0 always opens a fresh PDU: if the previous PDU's tail was lost
      upstream of the switch, its stale verdict (and reservation) would
      otherwise pin this VC forever. Verdicts are ints ([shed] or a
      non-negative reservation); [min_int] stands for "no verdict". *)
   let state =
-    if cell.Cell.seq = 0 then begin
+    if Cell.seq cell = 0 then begin
       (match Ctable.find_slot t.pdus key with
       | -1 -> ()
       | s ->
@@ -303,7 +304,7 @@ let ingress_cell_epd t ~in_port ~out_port ~out_vci (cell : Cell.t) =
       | -1 -> min_int
       | s -> Ctable.slot_value t.pdus s
   in
-  let last = cell.Cell.last_of_pdu in
+  let last = Cell.last_of_pdu cell in
   let occ = p.q_len + p.in_flight in
   if state = min_int then begin
     (* First cell: admit or shed the whole PDU. *)
@@ -365,14 +366,14 @@ let ingress_cell t ~port cell =
   Metrics.incr t.m_in;
   (* Hashed classification, cost-accounted: this probe sequence is what
      the demux_scale figure charges per forwarded cell. *)
-  match Ctable.find_slot t.routes (pack port cell.Cell.vci) with
+  match Ctable.find_slot t.routes (pack port (Cell.vci cell)) with
   | -1 ->
       t.stats.dropped_no_route <- t.stats.dropped_no_route + 1;
       Metrics.incr t.m_drop_route;
       if Trace.on Trace.Link then
         (Trace.emitf Trace.Link ~now:(Engine.now t.eng)
            "%s: no route for vci %d on port %d, cell dropped" t.sw_name
-           cell.Cell.vci port
+           (Cell.vci cell) port
         [@osiris.alloc_ok
           "drop diagnostics: formats only when tracing is on"])
   | slot ->
@@ -393,7 +394,7 @@ let ingress_cell t ~port cell =
 let commit_forward t (cell : Cell.t) =
   t.queued <- t.queued - 1;
   t.stats.forwarded <- t.stats.forwarded + 1;
-  if cell.Cell.marked then begin
+  if Cell.marked cell then begin
     t.marked_queued <- t.marked_queued - 1;
     t.stats.marked_forwarded <- t.stats.marked_forwarded + 1
   end;

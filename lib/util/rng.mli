@@ -25,6 +25,11 @@ val float : t -> float -> float
 
 val bool : t -> bool
 
+val chance : t -> float -> bool
+(** [chance t p] is [float t 1.0 < p]: true with probability [p], from
+    the same draw. It returns no float, so unlike a [float] draw compared
+    at the call site it allocates nothing. *)
+
 val exponential : t -> mean:float -> float
 (** Exponentially distributed with the given mean. *)
 

@@ -76,16 +76,18 @@ module Histogram = struct
       total = 0;
     }
 
-  let bucket_of h x =
+  let[@inline] bucket_of h x =
     if x < h.lo then 0
     else if x >= h.hi then Array.length h.counts - 1
     else 1 + int_of_float ((x -. h.lo) /. h.width)
 
-  let add h x =
+  let[@inline] add h x =
     let i = bucket_of h x in
     let i = Stdlib.min i (Array.length h.counts - 1) in
     h.counts.(i) <- h.counts.(i) + 1;
     h.total <- h.total + 1
+
+  let add_int h n = add h (float_of_int n)
 
   let count h = h.total
 

@@ -33,6 +33,11 @@ module Histogram : sig
 
   val create : lo:float -> hi:float -> buckets:int -> h
   val add : h -> float -> unit
+
+  val add_int : h -> int -> unit
+  (** [add_int h n] is [add h (float_of_int n)] without boxing the
+      float: for per-cell samples. *)
+
   val count : h -> int
 
   val percentile : h -> float -> float

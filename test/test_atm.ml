@@ -22,6 +22,112 @@ let cell_wire_roundtrip =
       | Ok c' -> Cell.equal c c'
       | Error _ -> false)
 
+(* Header fields at their bounds: the 16-bit extremes (and the bit just
+   below and above the halfway mark) of vci and seq, every flag
+   combination, any data offset. *)
+let header_gen =
+  let field =
+    QCheck.Gen.(
+      oneof [ oneofl [ 0; 1; 0x7fff; 0x8000; 0xfffe; 0xffff ]; 0 -- 0xffff ])
+  in
+  QCheck.Gen.(
+    let* vci = field in
+    let* seq = field in
+    let* eom = bool in
+    let* last = bool in
+    let* marked = bool in
+    let* off = 0 -- 100 in
+    return (vci, seq, eom, last, marked, off))
+
+let cell_header_packing =
+  QCheck.Test.make ~name:"cell: header fields survive packing" ~count:500
+    (QCheck.make header_gen) (fun (vci, seq, eom, last, marked, off) ->
+      let buf =
+        Bytes.init (off + Cell.data_size) (fun i -> Char.chr (i land 0xff))
+      in
+      let c = Cell.view ~vci ~seq ~eom ~last_of_pdu:last ~marked buf ~off in
+      let fields c =
+        (Cell.vci c, Cell.seq c, Cell.eom c, Cell.last_of_pdu c, Cell.marked c)
+      in
+      let flip16 v = 0xffff - v in
+      fields c = (vci, seq, eom, last, marked)
+      && Cell.off c = off
+      && fields (Cell.relabel c ~vci:(flip16 vci) ~marked:(not marked))
+         = (flip16 vci, seq, eom, last, not marked)
+      && fields (Cell.with_seq c (flip16 seq))
+         = (vci, flip16 seq, eom, last, marked)
+      &&
+      match Cell.parse (Cell.serialize c) with
+      | Ok c' -> fields c' = fields c && Cell.equal c c'
+      | Error _ -> false)
+
+let test_cell_field_range () =
+  let data = Bytes.make Cell.data_size 'r' in
+  let rejects name f =
+    match f () with
+    | _ -> Alcotest.failf "%s accepted" name
+    | exception Invalid_argument _ -> ()
+  in
+  rejects "vci 0x10000" (fun () ->
+      Cell.make ~vci:0x10000 ~seq:0 ~eom:false ~last_of_pdu:false data);
+  rejects "negative seq" (fun () ->
+      Cell.make ~vci:0 ~seq:(-1) ~eom:false ~last_of_pdu:false data);
+  rejects "view past the buffer" (fun () ->
+      Cell.view ~vci:0 ~seq:0 ~eom:false ~last_of_pdu:false data ~off:1)
+
+(* Cells of one PDU view one framed buffer. *)
+let pdu_cells () =
+  let pdu = Bytes.init 300 (fun i -> Char.chr ((i * 13) land 0xff)) in
+  let cells = Array.of_list (Sar.segment ~vci:7 ~nlinks:4 pdu) in
+  (Cell.buf cells.(0), cells)
+
+let test_cell_views_share () =
+  let framed, cells = pdu_cells () in
+  Array.iteri
+    (fun k c ->
+      Alcotest.(check bool) "same buffer" true (Cell.buf c == framed);
+      Alcotest.(check int) "offset" (k * Cell.data_size) (Cell.off c);
+      Alcotest.(check bytes) "data"
+        (Bytes.sub framed (k * Cell.data_size) Cell.data_size)
+        (Cell.data c))
+    cells;
+  Alcotest.(check bytes) "framed = Sar.frame"
+    (Sar.frame (Bytes.sub framed 0 300))
+    framed
+
+let test_cell_corrupt_copies () =
+  let framed, cells = pdu_cells () in
+  let before = Bytes.copy framed in
+  let datas = Array.map Cell.data cells in
+  let c = Cell.corrupt cells.(3) ~byte:5 in
+  Alcotest.(check bytes) "framed buffer unchanged" before framed;
+  Array.iteri
+    (fun k c ->
+      Alcotest.(check bytes) "sibling unchanged" datas.(k) (Cell.data c))
+    cells;
+  Alcotest.(check bool) "own buffer" false (Cell.buf c == framed);
+  let d = Cell.data c in
+  Alcotest.(check char) "the byte flipped"
+    (Char.chr (Char.code (Bytes.get datas.(3) 5) lxor 0x5a))
+    (Bytes.get d 5);
+  Bytes.set d 5 (Bytes.get datas.(3) 5);
+  Alcotest.(check bytes) "only that byte" datas.(3) d;
+  Alcotest.(check bool) "header kept" true
+    (Cell.seq c = 3 && Cell.vci c = 7 && not (Cell.equal c cells.(3)))
+
+let test_cell_view_wire_roundtrip () =
+  let _, cells = pdu_cells () in
+  Array.iter
+    (fun c ->
+      match Cell.parse (Cell.serialize c) with
+      | Error e -> Alcotest.fail e
+      | Ok c' ->
+          Alcotest.(check bool) "equal" true (Cell.equal c c');
+          Alcotest.(check bool) "parsed cell views the wire image" true
+            (Cell.off c' = 9 && Bytes.length (Cell.buf c') = Cell.wire_size))
+    cells;
+  Alcotest.(check bool) "different data" false (Cell.equal cells.(1) cells.(2))
+
 let test_cell_header_check () =
   let c =
     Cell.make ~vci:42 ~seq:7 ~eom:true ~last_of_pdu:false
@@ -74,9 +180,9 @@ let reassemble strategy arrivals pdu_len =
       match Sar.push sar ~link cell with
       | Sar.Rejected r -> failwith ("rejected: " ^ r)
       | Sar.Placed p ->
-          Bytes.blit p.Sar.cell.Cell.data 0 framed p.Sar.offset Cell.data_size
+          Bytes.blit (Cell.data p.Sar.cell) 0 framed p.Sar.offset Cell.data_size
       | Sar.Completed (p, total) ->
-          Bytes.blit p.Sar.cell.Cell.data 0 framed p.Sar.offset Cell.data_size;
+          Bytes.blit (Cell.data p.Sar.cell) 0 framed p.Sar.offset Cell.data_size;
           result := Some total)
     arrivals;
   match !result with
@@ -84,7 +190,7 @@ let reassemble strategy arrivals pdu_len =
   | Some total -> Sar.deframe (Bytes.sub framed 0 total)
 
 let in_order_arrivals ~nlinks cells =
-  List.map (fun (c : Cell.t) -> (c.Cell.seq mod nlinks, c)) cells
+  List.map (fun (c : Cell.t) -> (Cell.seq c mod nlinks, c)) cells
 
 (* A random member of the skew class: per-link FIFO preserved, links
    interleaved arbitrarily. *)
@@ -92,7 +198,7 @@ let skewed_arrivals ~nlinks ~rng cells =
   let queues = Array.make nlinks [] in
   List.iter
     (fun (c : Cell.t) ->
-      let l = c.Cell.seq mod nlinks in
+      let l = Cell.seq c mod nlinks in
       queues.(l) <- c :: queues.(l))
     cells;
   let queues = Array.map List.rev queues in
@@ -171,13 +277,13 @@ let test_per_link_framing_bits () =
   Alcotest.(check int) "cell count" 10 (List.length cells);
   let eoms =
     List.filter_map
-      (fun (c : Cell.t) -> if c.Cell.eom then Some c.Cell.seq else None)
+      (fun (c : Cell.t) -> if Cell.eom c then Some (Cell.seq c) else None)
       cells
   in
   Alcotest.(check (list int)) "framing on last cell per link" [ 6; 7; 8; 9 ]
     eoms;
   let last = List.nth cells 9 in
-  Alcotest.(check bool) "very-last bit" true last.Cell.last_of_pdu
+  Alcotest.(check bool) "very-last bit" true (Cell.last_of_pdu last)
 
 let test_short_pdu_single_cell () =
   (* A PDU shorter than the stripe width: the ATM-header last-of-pdu bit
@@ -218,6 +324,15 @@ let suite =
   [
     QCheck_alcotest.to_alcotest cell_wire_roundtrip;
     Alcotest.test_case "cell: header check byte" `Quick test_cell_header_check;
+    QCheck_alcotest.to_alcotest cell_header_packing;
+    Alcotest.test_case "cell: field ranges checked" `Quick
+      test_cell_field_range;
+    Alcotest.test_case "cell: a PDU's cells view one buffer" `Quick
+      test_cell_views_share;
+    Alcotest.test_case "cell: corrupt copies, siblings intact" `Quick
+      test_cell_corrupt_copies;
+    Alcotest.test_case "cell: view at an offset round-trips the wire" `Quick
+      test_cell_view_wire_roundtrip;
     Alcotest.test_case "cell: sizes" `Quick test_cell_sizes;
     Alcotest.test_case "sar: framed length arithmetic" `Quick test_framed_len;
     QCheck_alcotest.to_alcotest frame_roundtrip;

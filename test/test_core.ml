@@ -390,6 +390,33 @@ let test_bulk_vc_setup () =
   Alcotest.(check int) "receiver demux entries" n
     (Board.demux_vcs recv.Host.board - baseline)
 
+(* The cell datapath's allocation budget, end to end: minor-heap words
+   per delivered cell while two hosts move 20 UDP datagrams of 16 KB
+   (hosts, links and buffer pools are built before counting starts). *)
+let test_words_per_cell () =
+  let eng, net = Network.pair () in
+  let a = net.Network.a and b = net.Network.b in
+  let delivered = ref 0 in
+  Udp.bind b.Host.udp ~port:7 (fun ~src:_ ~src_port:_ msg ->
+      incr delivered;
+      Msg.dispose msg);
+  let payload = Bytes.init (16 * 1024) (fun i -> Char.chr (i land 0xff)) in
+  Process.spawn eng ~name:"tx" (fun () ->
+      for _ = 1 to 20 do
+        let m = Msg.alloc a.Host.vs ~len:(Bytes.length payload) () in
+        Msg.blit_into m ~off:0 ~src:payload;
+        Udp.output a.Host.udp ~dst:b.Host.addr ~src_port:9 ~dst_port:7 m
+      done);
+  let before = Gc.minor_words () in
+  Engine.run ~until:(Time.ms 200) eng;
+  let words = Gc.minor_words () -. before in
+  let cells = (Board.stats b.Host.board).Board.cells_received in
+  Alcotest.(check int) "all delivered" 20 !delivered;
+  let per_cell = words /. float_of_int cells in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f words per delivered cell (bound 60)" per_cell)
+    true (per_cell < 60.)
+
 let suite =
   [
     Alcotest.test_case "udp end-to-end integrity" `Quick
@@ -418,4 +445,6 @@ let suite =
       test_full_cache_swap_policy;
     Alcotest.test_case "bulk VC setup is O(1) amortized" `Quick
       test_bulk_vc_setup;
+    Alcotest.test_case "cell datapath words per cell" `Quick
+      test_words_per_cell;
   ]

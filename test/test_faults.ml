@@ -247,7 +247,7 @@ let test_dropped_framing_cell_times_out () =
   Atm.set_cell_filter net.Network.a_to_b
     (Some
        (fun _link cell ->
-         if cell.Cell.eom && not !dropped then begin
+         if Cell.eom cell && not !dropped then begin
            dropped := true;
            false
          end

@@ -27,9 +27,9 @@ let test_no_skew_in_order () =
   let out = collect eng link (List.length cells) in
   Process.spawn eng ~name:"tx" (fun () -> List.iter (Atm_link.send link) cells);
   Engine.run eng;
-  let seqs = List.map (fun (_, c) -> c.Cell.seq) (List.rev !out) in
+  let seqs = List.map (fun (_, c) -> Cell.seq c) (List.rev !out) in
   Alcotest.(check (list int)) "arrival order = send order"
-    (List.map (fun (c : Cell.t) -> c.Cell.seq) cells)
+    (List.map (fun (c : Cell.t) -> Cell.seq c) cells)
     seqs
 
 let test_skew_reorders_across_links_only () =
@@ -53,7 +53,7 @@ let test_skew_reorders_across_links_only () =
   for l = 0 to 3 do
     let seqs =
       List.filter_map
-        (fun (link', c) -> if link' = l then Some c.Cell.seq else None)
+        (fun (link', c) -> if link' = l then Some (Cell.seq c) else None)
         arrivals
     in
     Alcotest.(check (list int))
@@ -111,7 +111,7 @@ let test_corruption_injection () =
   (* Corruption touches payload bytes, never the header fields. *)
   List.iter
     (fun (_, (c : Cell.t)) ->
-      Alcotest.(check int) "vci intact" 3 c.Cell.vci)
+      Alcotest.(check int) "vci intact" 3 (Cell.vci c))
     !out
 
 let test_drop_injection () =

@@ -201,7 +201,7 @@ let test_sar_duplicate_rejected () =
   Alcotest.(check int) "4 cells" 4 (Array.length cells);
   let sar = Sar.create (Sar.Per_link 2) ~max_cells:64 in
   let push k =
-    Sar.push sar ~link:(cells.(k).Cell.seq mod 2) cells.(k)
+    Sar.push sar ~link:(Cell.seq cells.(k) mod 2) cells.(k)
   in
   (match push 0 with Sar.Placed _ -> () | _ -> Alcotest.fail "cell 0");
   (match push 1 with Sar.Placed _ -> () | _ -> Alcotest.fail "cell 1");
@@ -218,11 +218,11 @@ let test_sar_overflow_rejected () =
   let cells = cells_of (Bytes.make 150 'b') ~nlinks:2 in
   let sar = Sar.create (Sar.Per_link 2) ~max_cells:3 in
   for k = 0 to 2 do
-    match Sar.push sar ~link:(cells.(k).Cell.seq mod 2) cells.(k) with
+    match Sar.push sar ~link:(Cell.seq cells.(k) mod 2) cells.(k) with
     | Sar.Placed _ -> ()
     | _ -> Alcotest.fail "premature completion/rejection"
   done;
-  match Sar.push sar ~link:(cells.(3).Cell.seq mod 2) cells.(3) with
+  match Sar.push sar ~link:(Cell.seq cells.(3) mod 2) cells.(3) with
   | Sar.Rejected reason ->
       Alcotest.(check string) "bounded reassembly" "reassembly overflow"
         reason

@@ -50,10 +50,10 @@ let test_routing_rewrite () =
   (* unroutable *)
   (match Switch.drain_one sw ~port:1 with
   | Some c ->
-      Alcotest.(check int) "VCI rewritten" 20 c.Cell.vci;
-      Alcotest.(check int) "seq preserved for striping" 5 c.Cell.seq;
+      Alcotest.(check int) "VCI rewritten" 20 (Cell.vci c);
+      Alcotest.(check int) "seq preserved for striping" 5 (Cell.seq c);
       Alcotest.(check bool) "framing preserved" true
-        (c.Cell.eom && c.Cell.last_of_pdu)
+        (Cell.eom c && Cell.last_of_pdu c)
   | None -> Alcotest.fail "port 1 should hold the rewritten cell");
   Alcotest.(check int) "port 2 queued both routed cells" 2
     (Switch.port_occupancy sw ~port:2);
@@ -97,7 +97,7 @@ let test_overflow_drop_accounting () =
   (* Drain: FIFO order, each dequeue counted as forwarded. *)
   for seq = 0 to cap - 1 do
     (match Switch.drain_one sw ~port:1 with
-    | Some c -> Alcotest.(check int) "FIFO order" seq c.Cell.seq
+    | Some c -> Alcotest.(check int) "FIFO order" seq (Cell.seq c)
     | None -> Alcotest.fail "queue drained early");
     check_conservation sw
   done;

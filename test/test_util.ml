@@ -76,6 +76,108 @@ let crc32_detects_corruption =
       Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x5a));
       Crc32.compute b ~off:0 ~len:n <> before)
 
+(* The bytewise table-driven CRC-32 the slice-by-8 kernel replaced, kept
+   here as the reference it must match bit for bit. *)
+let ref_table =
+  Array.init 256 (fun n ->
+      let c = ref (Int32.of_int n) in
+      for _ = 0 to 7 do
+        if Int32.logand !c 1l <> 0l then
+          c := Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
+        else c := Int32.shift_right_logical !c 1
+      done;
+      !c)
+
+let ref_update crc b ~off ~len =
+  let c = ref crc in
+  for i = off to off + len - 1 do
+    let idx =
+      Int32.to_int
+        (Int32.logand
+           (Int32.logxor !c (Int32.of_int (Char.code (Bytes.get b i))))
+           0xFFl)
+    in
+    c := Int32.logxor ref_table.(idx) (Int32.shift_right_logical !c 8)
+  done;
+  !c
+
+(* Offsets 0-7 put the first 8-byte word at every alignment; lengths up to
+   100 cover the bytewise tail on both sides, and 16 KB the long run. *)
+let crc32_matches_bytewise =
+  let gen =
+    QCheck.Gen.(
+      let* off = 0 -- 7 in
+      let* len = frequency [ (9, 0 -- 100); (1, return 16384) ] in
+      let* seed = nat in
+      let* cuts = list_size (0 -- 4) (0 -- len) in
+      return (off, len, seed, List.sort compare cuts))
+  in
+  QCheck.Test.make ~name:"crc32: slice-by-8 = bytewise reference" ~count:300
+    (QCheck.make
+       ~print:(fun (off, len, seed, cuts) ->
+         Printf.sprintf "off=%d len=%d seed=%d cuts=[%s]" off len seed
+           (String.concat ";" (List.map string_of_int cuts)))
+       gen)
+    (fun (off, len, seed, cuts) ->
+      let r = Rng.create ~seed in
+      let b = Bytes.init (off + len + 5) (fun _ -> Char.chr (Rng.int r 256)) in
+      (* [update] fed the region in pieces, split at [cuts] *)
+      let crc, last =
+        List.fold_left
+          (fun (crc, from) cut ->
+            (Crc32.update crc b ~off:(off + from) ~len:(cut - from), cut))
+          (Crc32.init, 0) cuts
+      in
+      let crc = Crc32.update crc b ~off:(off + last) ~len:(len - last) in
+      crc = ref_update Crc32.init b ~off ~len
+      && Crc32.compute b ~off ~len
+         = Int32.logxor (ref_update Crc32.init b ~off ~len) 0xFFFFFFFFl)
+
+let minor_words f =
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
+(* Per-cell draws on the link allocate nothing. A [float] result crossing
+   a module boundary is boxed by the caller (2 words) unless the call is
+   inlined, which the dev profile's [-opaque] prevents; the draw itself
+   allocates nothing, and [chance], which returns a bool, nothing at
+   all. *)
+let test_rng_no_alloc () =
+  let r = Rng.create ~seed:11 in
+  let hits = ref 0 in
+  let n = 10_000 in
+  let per_draw f =
+    minor_words (fun () -> for _ = 1 to n do f () done) /. float_of_int n
+  in
+  let int_bool () =
+    if Rng.bool r then incr hits;
+    hits := !hits + Rng.int r 53;
+    if Rng.chance r 0.25 then incr hits
+  in
+  int_bool ();
+  Alcotest.(check (float 0.)) "int, bool and chance: words per draw" 0.
+    (per_draw int_bool);
+  let float_draw () = if Rng.float r 1.0 < 0.5 then incr hits in
+  Alcotest.(check bool) "float: at most its result box" true
+    (per_draw float_draw <= 2.)
+
+(* No allocation per byte: a 16 KB update costs what a one-cell update
+   costs, at most the [int32] result's box (3 words; none when the call is
+   inlined). *)
+let test_crc32_no_alloc () =
+  let b = Bytes.init 16384 (fun i -> Char.chr (i * 31 land 0xff)) in
+  let acc = ref 0 in
+  let run len () =
+    acc := !acc lxor Int32.to_int (Crc32.update Crc32.init b ~off:0 ~len)
+  in
+  run 16384 ();
+  let words = minor_words (run 16384) in
+  Alcotest.(check bool)
+    (Printf.sprintf "minor words for a 16 KB update (%.0f)" words)
+    true
+    (words <= 3. && words = minor_words (run Osiris_atm.Cell.data_size))
+
 let test_rng_determinism () =
   let a = Rng.create ~seed:99 and b = Rng.create ~seed:99 in
   for _ = 1 to 100 do
@@ -141,6 +243,10 @@ let suite =
     Alcotest.test_case "crc32: known vector" `Quick test_crc32_vector;
     QCheck_alcotest.to_alcotest crc32_incremental;
     QCheck_alcotest.to_alcotest crc32_detects_corruption;
+    QCheck_alcotest.to_alcotest crc32_matches_bytewise;
+    Alcotest.test_case "crc32: no allocation per byte" `Quick
+      test_crc32_no_alloc;
+    Alcotest.test_case "rng: draws allocate nothing" `Quick test_rng_no_alloc;
     Alcotest.test_case "rng: determinism" `Quick test_rng_determinism;
     Alcotest.test_case "rng: bounds" `Quick test_rng_bounds;
     Alcotest.test_case "rng: split" `Quick test_rng_split_independent;
