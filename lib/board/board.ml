@@ -225,25 +225,31 @@ type vc_state = {
 (* Receive-side DMA work for one cell: write its data, which the command
    views rather than copies, to host memory, then hand the host the
    buffers that data completed. The data lands in one bus transaction
-   unless it crosses a receive-buffer or page boundary. *)
+   unless it crosses a receive-buffer or page boundary. Commands are
+   pooled records ({!next_dma_cmd}). *)
 type dma_cmd = {
-  cell : Cell.t;
-  addr : int; (* where the first transaction lands *)
-  len : int; (* its length: the whole cell unless the data is split *)
-  more : (int * int) list; (* (phys addr, len) of any further transactions *)
-  vc : vc_state; (* whose channel receives [posts] *)
-  posts : Desc.t list; (* descriptors to post once the data has landed *)
+  mutable cell : Cell.t;
+  mutable addr : int; (* where the first transaction lands *)
+  mutable len : int; (* its length: the whole cell unless the data is split *)
+  mutable more : (int * int) list;
+      (* (phys addr, len) of any further transactions *)
+  mutable vc : vc_state; (* whose channel receives [posts] *)
+  mutable posts : Desc.t list;
+      (* descriptors to post once the data has landed *)
+  mutable busy : bool; (* handed out and not yet retired *)
 }
 
 (* Transmit-side DMA work: fetch cells [first, first + count) of a PDU
    from host memory, then emit them. Queued so the i960's per-cell work
-   overlaps the DMA engine (they are separate units on the board). *)
+   overlaps the DMA engine (they are separate units on the board).
+   Pooled like [dma_cmd]. *)
 type tx_fetch_cmd = {
-  f_pdu : tx_pdu;
-  f_ch : channel;
-  f_first : int;
-  f_count : int;
-  f_last : bool; (* the PDU's final fetch: completes it afterwards *)
+  mutable f_pdu : tx_pdu;
+  mutable f_ch : channel;
+  mutable f_first : int;
+  mutable f_count : int;
+  mutable f_last : bool; (* the PDU's final fetch: completes it afterwards *)
+  mutable f_busy : bool;
 }
 
 type t = {
@@ -261,6 +267,10 @@ type t = {
   tx_fetch_q : tx_fetch_cmd Mailbox.t;
   tx_out : Cell.t Mailbox.t;
   rx_dma_q : dma_cmd Mailbox.t;
+  tx_cmds : tx_fetch_cmd array; (* pool behind [tx_fetch_q] *)
+  mutable tx_cmd_next : int;
+  rx_cmds : dma_cmd array; (* pool behind [rx_dma_q] *)
+  mutable rx_cmd_next : int;
   mutable tx_link : Atm_link.t option;
   mutable rx_link : Atm_link.t option;
   rx_link_map : int array; (* physical channel -> logical stripe index *)
@@ -313,11 +323,23 @@ let make_channel eng bus cfg id =
   }
 
 (* Returned by [place_cell] when the PDU must be dropped for lack of
-   buffers; never submitted. *)
+   buffers; never submitted. Also the initial contents of the receive
+   command pool. *)
 let no_dma vc =
   { cell = Cell.make ~vci:0 ~seq:0 ~eom:false ~last_of_pdu:false
       (Bytes.make Cell.data_size '\000');
-    addr = 0; len = 0; more = []; vc; posts = [] }
+    addr = 0; len = 0; more = []; vc; posts = []; busy = false }
+
+(* The DMA command queues' depths. Each command pool holds the queue's
+   capacity, plus the record its producer fills before the send
+   returns, plus the records its consumer holds: one for the transmit
+   DMA engine, two for the receive one (a double-cell combine). Records
+   are handed out round-robin, so a slot comes round again only after
+   every other slot has been handed out since. *)
+let tx_fetch_depth = 2
+let rx_dma_depth = 4
+let tx_cmd_pool = tx_fetch_depth + 1 + 1
+let rx_cmd_pool = rx_dma_depth + 1 + 2
 
 let create eng ~bus ~mem ~on_interrupt ?(on_dma_write = fun ~addr:_ ~len:_ -> ())
     cfg =
@@ -342,6 +364,10 @@ let create eng ~bus ~mem ~on_interrupt ?(on_dma_write = fun ~addr:_ ~len:_ -> ()
       stash = Queue.create ();
     }
   in
+  let dummy_pdu =
+    { framed = Bytes.empty; vci = -1; nlinks = 1; ncells = 0; data_len = 0;
+      chain = []; nchain = 0; next = 0 }
+  in
   let t =
     {
       eng;
@@ -355,9 +381,16 @@ let create eng ~bus ~mem ~on_interrupt ?(on_dma_write = fun ~addr:_ ~len:_ -> ()
       vcs = Ctable.create ~oracle:cfg.demux_oracle ~dummy:dummy_vc 32;
       tx_work = Signal.create eng;
       tx_kicks = 0;
-      tx_fetch_q = Mailbox.create eng ~capacity:2 ();
+      tx_fetch_q = Mailbox.create eng ~capacity:tx_fetch_depth ();
       tx_out = Mailbox.create eng ~capacity:4 ();
-      rx_dma_q = Mailbox.create eng ~capacity:4 ();
+      rx_dma_q = Mailbox.create eng ~capacity:rx_dma_depth ();
+      tx_cmds =
+        Array.init tx_cmd_pool (fun _ ->
+            { f_pdu = dummy_pdu; f_ch = channels.(0); f_first = 0;
+              f_count = 0; f_last = false; f_busy = false });
+      tx_cmd_next = 0;
+      rx_cmds = Array.init rx_cmd_pool (fun _ -> no_dma dummy_vc);
+      rx_cmd_next = 0;
       tx_link = None;
       rx_link = None;
       rx_link_map = Array.init cfg.nlinks (fun i -> i);
@@ -377,6 +410,27 @@ let create eng ~bus ~mem ~on_interrupt ?(on_dma_write = fun ~addr:_ ~len:_ -> ()
 
 let config t = t.cfg
 let engine t = t.eng
+
+(* The next pooled command record. Reaching a slot still in flight means
+   the pool is smaller than the commands its queue can hold, and the
+   record would be overwritten under its consumer: fail loudly. *)
+let next_fetch_cmd t =
+  let c = t.tx_cmds.(t.tx_cmd_next) in
+  if c.f_busy then
+    (failwith "Board: tx fetch command reused while in flight"
+    [@osiris.alloc_ok "cold error path: raises, never returns"]);
+  c.f_busy <- true;
+  t.tx_cmd_next <- (t.tx_cmd_next + 1) mod tx_cmd_pool;
+  c
+
+let next_dma_cmd t =
+  let c = t.rx_cmds.(t.rx_cmd_next) in
+  if c.busy then
+    (failwith "Board: rx DMA command reused while in flight"
+    [@osiris.alloc_ok "cold error path: raises, never returns"]);
+  c.busy <- true;
+  t.rx_cmd_next <- (t.rx_cmd_next + 1) mod rx_cmd_pool;
+  c
 
 let stats t : stats =
   {
@@ -682,8 +736,13 @@ let tx_emit t ch =
       pdu.next <- k + n;
       let last = pdu.next >= pdu.ncells in
       if last then ch.txst <- None;
-      Mailbox.send t.tx_fetch_q
-        { f_pdu = pdu; f_ch = ch; f_first = k; f_count = n; f_last = last }
+      let c = next_fetch_cmd t in
+      c.f_pdu <- pdu;
+      c.f_ch <- ch;
+      c.f_first <- k;
+      c.f_count <- n;
+      c.f_last <- last;
+      Mailbox.send t.tx_fetch_q c
 
 let tx_dma_engine t () =
   let rec loop () =
@@ -705,6 +764,7 @@ let tx_dma_engine t () =
       Metrics.incr t.m.m_cells_sent
     done;
     if cmd.f_last then finish_pdu t cmd.f_ch pdu;
+    cmd.f_busy <- false;
     loop ()
   in
   loop ()
@@ -966,9 +1026,14 @@ let place_cell t vc cell ~offset ~completed_total =
           "only a cell that crosses a buffer or page boundary is split"])
     in
     let posts = collect_posts t vc ~completed_total in
-    ({ cell; addr; len; more; vc; posts }
-    [@osiris.alloc_ok
-      "the DMA command: one record per cell, viewing the cell's data"])
+    let cmd = next_dma_cmd t in
+    cmd.cell <- cell;
+    cmd.addr <- addr;
+    cmd.len <- len;
+    cmd.more <- more;
+    cmd.vc <- vc;
+    cmd.posts <- posts;
+    cmd
   end
 
 let release_stash t vc = Queue.transfer vc.stash t.pending_cells
@@ -1131,9 +1196,15 @@ let rec exec_spans t (cmd : dma_cmd) ~src ~addr ~len more =
   | (addr', len') :: rest ->
       exec_spans t cmd ~src:(src + len) ~addr:addr' ~len:len' rest
 
+(* Hand the host the command's buffers and return the record to its
+   pool. *)
+let retire t (cmd : dma_cmd) =
+  post t cmd;
+  cmd.busy <- false
+
 let exec_dma t (cmd : dma_cmd) =
   exec_spans t cmd ~src:0 ~addr:cmd.addr ~len:cmd.len cmd.more;
-  post t cmd
+  retire t cmd
 
 let rx_dma_engine t () =
   let rec loop () =
@@ -1154,8 +1225,8 @@ let rx_dma_engine t () =
         blit_cell t cmd1 ~src:0 ~addr:cmd1.addr ~len:cmd1.len;
         blit_cell t cmd2 ~src:0 ~addr:cmd2.addr ~len:cmd2.len;
         t.on_dma_write ~addr:cmd1.addr ~len;
-        post t cmd1;
-        post t cmd2
+        retire t cmd1;
+        retire t cmd2
     | Some cmd2 ->
         exec_dma t cmd1;
         exec_dma t cmd2

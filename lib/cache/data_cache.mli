@@ -16,7 +16,12 @@
 
     All timed operations block the calling process; fills and write-throughs
     go through the {!Osiris_bus.Turbochannel} model, so on a shared-bus
-    machine they contend with concurrent DMA. *)
+    machine they contend with concurrent DMA.
+
+    Layout: one tag per line in an [int array] and every line's bytes in
+    one [size]-byte buffer that stays unwritten until a line fills. A
+    cache costs [size / line_size] words of heap plus the pages of the
+    lines a run actually fills, not [size] bytes of resident memory. *)
 
 type coherence = Software | Hardware_update
 

@@ -20,10 +20,15 @@ type t = {
   mutable stopping : bool;
   mutable dispatched : int;
   mutable chooser : chooser option;
+  mutable horizon : Time.t;
+      (* the [until] of the current unbudgeted run, up to which a sleep
+         may complete inline; [no_horizon] outside such a run *)
   events : events;
 }
 
 exception Stopped
+
+let no_horizon = -1
 
 let dummy_handle = { cancelled = true; queued = false; fn = ignore }
 
@@ -34,7 +39,7 @@ let create ?(backend = Timer_wheel) () =
     | Binary_heap -> E_heap (Heap.create ())
   in
   { clock = Time.zero; seq = 0; stopping = false; dispatched = 0;
-    chooser = None; events }
+    chooser = None; horizon = no_horizon; events }
 
 let set_chooser t c = t.chooser <- c
 
@@ -199,8 +204,27 @@ let step t = step_live t <> `Empty
 
 let stop t = t.stopping <- true
 
-let run ?until ?max_events t =
-  t.stopping <- false;
+(* A sleep until [time] completes inline when nothing queued fires
+   before it (a queued key equal to [time] would, by its lower seq),
+   the current run would still dispatch at [time] and no chooser, budget
+   or stop request could intervene. The state is then exactly what its
+   timer and resume events would have left: clock at [time], two
+   sequence numbers and two dispatches consumed. A [time] below the
+   clock (an overflowed [now + d]) is left to [reschedule] to reject. *)
+let sleep_inline t ~time =
+  if
+    time <= t.horizon && time < ev_next_key t && time >= t.clock
+    && not t.stopping
+    && match t.chooser with None -> true | Some _ -> false
+  then begin
+    t.clock <- time;
+    t.seq <- t.seq + 2;
+    t.dispatched <- t.dispatched + 2;
+    true
+  end
+  else false
+
+let run_loop ?until ?max_events t =
   let executed = ref 0 in
   let continue () =
     (not t.stopping)
@@ -225,3 +249,17 @@ let run ?until ?max_events t =
   | Some u when (not t.stopping) && t.clock < u ->
       if ev_next_key t > u then t.clock <- u
   | _ -> ()
+
+let run ?until ?max_events t =
+  t.stopping <- false;
+  let outer = t.horizon in
+  t.horizon <-
+    (match (max_events, t.chooser, until) with
+    | None, None, None -> max_int
+    | None, None, Some u -> u
+    | Some _, _, _ | _, Some _, _ -> no_horizon);
+  match run_loop ?until ?max_events t with
+  | () -> t.horizon <- outer
+  | exception e ->
+      t.horizon <- outer;
+      raise e

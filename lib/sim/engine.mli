@@ -75,8 +75,11 @@ val pending : t -> int
     drained). *)
 
 val events_dispatched : t -> int
-(** Total live (non-cancelled) callbacks executed over the engine's
-    lifetime — the event count the speed benchmarks report. *)
+(** Total simulated events over the engine's lifetime: every live
+    (non-cancelled) callback executed, plus the two events (timer and
+    resume) of every sleep completed inline ({!sleep_inline}) — the
+    count the speed benchmarks report, the same whether a sleep
+    completed inline or through the queue. *)
 
 val step : t -> bool
 (** Execute the single next event. Returns [false] when the queue is
@@ -89,7 +92,25 @@ val run : ?until:Time.t -> ?max_events:int -> t -> unit
     at [until] still run. On return from a bounded run the clock is at
     [until] unless events at or before [until] remain unfired (a
     [max_events] budget can leave some), in which case it stays at the
-    last dispatch so time never runs backwards. *)
+    last dispatch so time never runs backwards.
+
+    A run without [max_events] and without a chooser lets a process's
+    sleep complete inline ({!sleep_inline}) when no other event could
+    come first; the [(time, seq)] stream, the clock and
+    {!events_dispatched} are the same as if it had gone through the
+    queue. *)
+
+val sleep_inline : t -> time:Time.t -> bool
+(** [sleep_inline t ~time] completes, without queueing anything, a sleep
+    whose timer would fire at [time], when that timer and the resume it
+    arms would be the next two events of the current {!run}: [time] is
+    strictly below every queued key and at or below the run's [until],
+    the run has no [max_events], no chooser is installed and {!stop} was
+    not requested. It then sets the clock to [time] and consumes the two
+    sequence numbers and two {!events_dispatched} those events would
+    have, and returns [true]; otherwise it changes nothing and returns
+    [false]. {!step} never completes a sleep inline. Used by
+    [Process.sleep]. *)
 
 exception Stopped
 

@@ -105,9 +105,16 @@ let sleep eng d =
   if eng != p.eng then
     (invalid_arg "Process.sleep: not the engine the process runs on"
     [@osiris.alloc_ok "cold error path: raises, never returns"]);
-  (* Two events, as a sleep has always cost: the timer at [now + d],
-     whose callback arms the resume at that instant. *)
-  Engine.reschedule eng ~delay:d p.timer;
-  park ()
+  (* When nothing else could run before the sleep ends, the process
+     continues inline; the engine accounts for the timer and resume
+     events, and the wake they would have performed bumps [gen].
+     Otherwise two queued events: the timer at [now + d], whose callback
+     arms the resume at that instant. *)
+  if Engine.sleep_inline eng ~time:(Engine.now eng + d) then
+    p.gen <- p.gen + 1
+  else begin
+    Engine.reschedule eng ~delay:d p.timer;
+    park ()
+  end
 
 let yield eng = sleep eng 0

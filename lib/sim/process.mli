@@ -14,7 +14,8 @@
     Each process owns two reusable engine handles, one that resumes it and
     one for its sleep timer, and one slot for its continuation, so a
     steady-state sleep or wake allocates nothing but the continuation
-    block the runtime builds when a fiber suspends. *)
+    block the runtime builds when a fiber suspends, and a sleep that
+    completes inline allocates nothing at all. *)
 
 exception Not_in_process
 
@@ -29,7 +30,12 @@ val spawn : Engine.t -> ?name:string -> (unit -> unit) -> unit
 val sleep : Engine.t -> Time.t -> unit
 (** Suspend the calling process for the given simulated duration. The
     engine must be the one the process was spawned on. Costs two events:
-    the timer at [now + d], then the resume at that instant. *)
+    the timer at [now + d], then the resume at that instant. When those
+    two would be the next events of the current {!Engine.run} anyway,
+    the sleep completes inline ({!Engine.sleep_inline}): the clock, the
+    sequence numbers, {!Engine.events_dispatched} and the generation end
+    up exactly as the two events would have left them, and nothing is
+    queued or allocated. *)
 
 val yield : Engine.t -> unit
 (** Suspend and immediately reschedule at the same simulated time, letting

@@ -609,20 +609,55 @@ let run_words eng ~warm =
    returns. *)
 let once = 32
 
+(* Minor words [f] allocates, less what an empty measurement costs (the
+   boxed floats [Gc.minor_words] returns). *)
+let words_of f =
+  let measure f =
+    let w0 = Gc.minor_words () in
+    f ();
+    int_of_float (Gc.minor_words () -. w0)
+  in
+  measure f - measure ignore
+
 let test_sleep_allocation () =
   let cont = continuation_words () in
   Alcotest.(check bool) "continuation block measured" true (cont > 0);
+  (* A lone sleeper: nothing else is ever queued, so every sleep
+     completes inline. *)
   let eng = Engine.create () in
   let n = 2_000 in
+  let inline_words = ref (-1) in
   Process.spawn eng ~name:"sleeper" (fun () ->
-      for _ = 1 to n + 10 do
-        Process.sleep eng 1
-      done);
+      Process.sleep eng 1;
+      inline_words :=
+        words_of (fun () ->
+            for _ = 1 to n do
+              Process.sleep eng 1
+            done));
+  Engine.run eng;
+  check "clock after the inline sleeps" (n + 1) (Engine.now eng);
+  check "two events per inline sleep" ((2 * (n + 1)) + 1)
+    (Engine.events_dispatched eng);
+  check (Printf.sprintf "%d inline sleeps allocate nothing" n) 0
+    !inline_words;
+  (* Two sleepers in lockstep: each one's timer is queued at the instant
+     the other wakes to, so no sleep can complete inline and every one
+     parks. (A far-future event alone would not do: a sleep ending
+     before it still completes inline.) *)
+  let eng = Engine.create () in
+  for _ = 1 to 2 do
+    Process.spawn eng ~name:"sleeper" (fun () ->
+        for _ = 1 to n + 10 do
+          Process.sleep eng 1
+        done)
+  done;
   let words = run_words eng ~warm:10 in
   Alcotest.(check bool)
-    (Printf.sprintf "%d sleeps in %d words (continuation %d)" n words cont)
+    (Printf.sprintf "%d parked sleeps in %d words (continuation %d)" (2 * n)
+       words cont)
     true
-    (words <= (n * cont) + once)
+    (words <= (2 * n * cont) + once);
+  Alcotest.(check bool) "the sleeps parked" true (words >= n * cont)
 
 let test_mailbox_allocation () =
   let eng = Engine.create () in
@@ -688,6 +723,211 @@ let test_signal_resource_allocation () =
        words cont)
     true
     (words <= (parks * cont) + once)
+
+(* ------------------------------------------------------------------ *)
+(* Inline sleeps are invisible. Random scenarios of sleeping, mailbox,
+   signal and resource processes run under [Engine.run] (sleeps may
+   complete inline) and under drivers that never inline a sleep: an
+   [Engine.step] loop, a [max_events] budget, a FIFO chooser. Every
+   process's trace of (operation, time), the final clock and the event
+   count must agree; [until]-bounded segments may complete inline up to
+   each horizon and must agree too. *)
+
+let scenario ~seed drive =
+  let module Rng = Osiris_util.Rng in
+  let eng = Engine.create () in
+  let mbs = Array.init 2 (fun _ -> Mailbox.create eng ~capacity:2 ()) in
+  let sg = Signal.create eng in
+  let res = Resource.create eng ~capacity:1 in
+  let nproc = 5 in
+  let traces = Array.init nproc (fun _ -> Buffer.create 256) in
+  for i = 0 to nproc - 1 do
+    let rng = Rng.create ~seed:((seed * 101) + i) in
+    Process.spawn eng ~name:(Printf.sprintf "p%d" i) (fun () ->
+        let log tag =
+          Buffer.add_string traces.(i)
+            (Printf.sprintf "%s@%d;" tag (Engine.now eng))
+        in
+        for _ = 1 to 60 do
+          match Rng.int rng 12 with
+          | 0 | 1 | 2 | 3 ->
+              (* short sleeps collide with one another's wake instants *)
+              Process.sleep eng (Rng.int rng 4);
+              log "s"
+          | 4 ->
+              Process.sleep eng (Rng.int rng 1_000);
+              log "S"
+          | 5 ->
+              Process.yield eng;
+              log "y"
+          | 6 | 7 ->
+              Mailbox.send mbs.(Rng.int rng 2) i;
+              log "tx"
+          | 8 ->
+              log (Printf.sprintf "rx%d" (Mailbox.recv mbs.(Rng.int rng 2)))
+          | 9 ->
+              Signal.broadcast sg;
+              log "b"
+          | 10 ->
+              if Rng.int rng 3 = 0 then begin
+                Signal.wait sg;
+                log "w"
+              end
+          | _ ->
+              Resource.use res ~duration:(Rng.int rng 5);
+              log "u"
+        done;
+        log "end")
+  done;
+  drive eng;
+  String.concat "\n" (Array.to_list (Array.map Buffer.contents traces))
+  ^ Printf.sprintf "\ndispatched=%d" (Engine.events_dispatched eng),
+  Engine.now eng
+
+let drive_run eng = Engine.run eng
+
+let drive_steps eng =
+  while Engine.step eng do
+    ()
+  done
+
+let drive_budget eng =
+  while Engine.pending eng > 0 do
+    Engine.run ~max_events:7 eng
+  done
+
+let drive_fifo_chooser eng =
+  Engine.set_chooser eng (Some (fun ~now:_ ~count:_ -> 0));
+  Engine.run eng
+
+let horizons = [ 3; 40; 41; 500; 2_000 ]
+
+let drive_segments eng =
+  List.iter (fun u -> Engine.run ~until:u eng) horizons;
+  Engine.run eng
+
+let inline_equivalence_prop =
+  QCheck.Test.make ~name:"inline sleeps: run = step loop = budget = chooser"
+    ~count:60 QCheck.small_nat (fun seed ->
+      let want, clock = scenario ~seed drive_steps in
+      let agree name drive =
+        let got, c = scenario ~seed drive in
+        (got = want && c = clock)
+        || QCheck.Test.fail_reportf
+             "%s diverged from the step loop:\n%s\nvs\n%s" name got want
+      in
+      agree "run" drive_run && agree "budget" drive_budget
+      && agree "fifo chooser" drive_fifo_chooser
+      &&
+      let got, c = scenario ~seed drive_segments in
+      let last = List.fold_left max 0 horizons in
+      (got = want && c = max clock last)
+      || QCheck.Test.fail_reportf "segments diverged:\n%s\nvs\n%s" got want)
+
+(* A sleeper that records when it wakes; [before] runs first in its
+   process. *)
+let sleeper ?(before = ignore) eng d =
+  let woke = ref (-1) in
+  Process.spawn eng ~name:"sleeper" (fun () ->
+      before ();
+      Process.sleep eng d;
+      woke := Engine.now eng);
+  woke
+
+let test_inline_not_past_until () =
+  let eng = Engine.create () in
+  let woke = sleeper eng 100 in
+  Engine.run ~until:50 eng;
+  check "clock at the horizon" 50 (Engine.now eng);
+  check "still asleep" (-1) !woke;
+  check "timer queued" 1 (Engine.pending eng);
+  Engine.run eng;
+  check "woke at its time" 100 !woke;
+  (* A sleep ending exactly at the horizon completes within the run. *)
+  let eng = Engine.create () in
+  let woke = sleeper eng 50 in
+  Engine.run ~until:50 eng;
+  check "woke at the horizon" 50 !woke;
+  check "nothing queued" 0 (Engine.pending eng);
+  check "timer and resume counted" 3 (Engine.events_dispatched eng)
+
+let test_inline_not_under_budget () =
+  let eng = Engine.create () in
+  let woke = sleeper eng 10 in
+  Engine.run ~max_events:1 eng;
+  check "start only" 0 (Engine.now eng);
+  check "parked" (-1) !woke;
+  Engine.run ~max_events:1 eng;
+  check "timer fired" 10 (Engine.now eng);
+  check "not yet resumed" (-1) !woke;
+  Engine.run ~max_events:1 eng;
+  check "resumed" 10 !woke;
+  check "three events" 3 (Engine.events_dispatched eng)
+
+let test_inline_not_by_step () =
+  let eng = Engine.create () in
+  let woke = sleeper eng 10 in
+  Alcotest.(check bool) "one event" true (Engine.step eng);
+  check "clock unmoved" 0 (Engine.now eng);
+  check "parked" (-1) !woke;
+  check "timer queued" 1 (Engine.pending eng)
+
+let test_inline_not_after_stop () =
+  let eng = Engine.create () in
+  let woke = sleeper eng 10 ~before:(fun () -> Engine.stop eng) in
+  Engine.run eng;
+  check "run stopped before the sleep ended" 0 (Engine.now eng);
+  check "parked" (-1) !woke;
+  Engine.run eng;
+  check "resumed by the next run" 10 !woke
+
+let test_inline_not_with_chooser () =
+  (* A parked sleep suspends the fiber, which allocates; an inline one
+     allocates nothing. *)
+  let sleep_words chooser =
+    let eng = Engine.create () in
+    Engine.set_chooser eng chooser;
+    let words = ref (-1) in
+    Process.spawn eng ~name:"sleeper" (fun () ->
+        words := words_of (fun () -> Process.sleep eng 1));
+    Engine.run eng;
+    check "clock" 1 (Engine.now eng);
+    check "events" 3 (Engine.events_dispatched eng);
+    !words
+  in
+  check "inline without a chooser" 0 (sleep_words None);
+  Alcotest.(check bool) "parked under a chooser" true
+    (sleep_words (Some (fun ~now:_ ~count:_ -> 0)) > 0)
+
+let test_inline_stale_waker () =
+  let eng = Engine.create () in
+  let raised = ref false in
+  Process.spawn eng ~name:"sleeper" (fun () ->
+      let me = Process.self () in
+      let g = Process.generation me in
+      Process.sleep eng 5;
+      check "an inline sleep consumes a generation" (g + 1)
+        (Process.generation me);
+      match Process.wake me g with
+      | () -> ()
+      | exception Invalid_argument _ -> raised := true);
+  Engine.run eng;
+  check "slept" 5 (Engine.now eng);
+  Alcotest.(check bool) "waker from before the sleep raises" true !raised
+
+(* A sleep whose end overflows the clock is rejected, as a queued one
+   always was, rather than completing inline at a negative time. *)
+let test_inline_overflow_rejected () =
+  let eng = Engine.create () in
+  let rejected = ref false in
+  Process.spawn eng ~name:"sleeper" (fun () ->
+      Process.sleep eng 1;
+      match Process.sleep eng max_int with
+      | () -> ()
+      | exception Invalid_argument _ -> rejected := true);
+  Engine.run eng;
+  Alcotest.(check bool) "overflowing sleep rejected" true !rejected;
+  check "clock unmoved" 1 (Engine.now eng)
 
 (* ------------------------------------------------------------------ *)
 (* Wakers are one-shot: a second wake, or one left over from an earlier
@@ -833,6 +1073,21 @@ let suite =
       test_wake_generation;
     Alcotest.test_case "process: park outside a process" `Quick
       test_park_outside_process;
+    QCheck_alcotest.to_alcotest inline_equivalence_prop;
+    Alcotest.test_case "inline sleep: never past until" `Quick
+      test_inline_not_past_until;
+    Alcotest.test_case "inline sleep: never under max_events" `Quick
+      test_inline_not_under_budget;
+    Alcotest.test_case "inline sleep: never by step" `Quick
+      test_inline_not_by_step;
+    Alcotest.test_case "inline sleep: never after stop" `Quick
+      test_inline_not_after_stop;
+    Alcotest.test_case "inline sleep: never with a chooser" `Quick
+      test_inline_not_with_chooser;
+    Alcotest.test_case "inline sleep: stale waker raises" `Quick
+      test_inline_stale_waker;
+    Alcotest.test_case "inline sleep: overflow rejected" `Quick
+      test_inline_overflow_rejected;
     Alcotest.test_case "trace: guarded site allocates nothing" `Quick
       test_trace_guard_allocation;
     QCheck_alcotest.to_alcotest heap_prop;
