@@ -22,6 +22,7 @@ open Toolkit
 module Registry = Osiris_experiments.Registry
 module Report = Osiris_experiments.Report
 module Json = Osiris_obs.Json
+module Metrics = Osiris_obs.Metrics
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks of the hot paths underneath each result.  *)
@@ -44,13 +45,13 @@ module Micro = struct
            done;
            Engine.run eng))
 
-  (* the engine_speed figure rests on the scheduler itself: the same
-     self-rescheduling timer spread, one test per backend, so the
-     wheel-vs-heap gap is visible without the datapath around it. *)
-  let bench_scheduler backend name =
-    Test.make ~name
+  (* the engine_speed figure rests on the scheduler itself: a
+     self-rescheduling timer spread over eight magnitudes of delay, so
+     the event queue's cost is visible without the datapath around it. *)
+  let bench_queue_dispatch =
+    Test.make ~name:"engine_speed:queue-dispatch-4k"
       (Staged.stage (fun () ->
-           let eng = Engine.create ~backend () in
+           let eng = Engine.create () in
            let n = ref 0 in
            let rec tick d () =
              incr n;
@@ -60,12 +61,6 @@ module Micro = struct
              (fun d -> ignore (Engine.schedule eng ~delay:d (tick d)))
              [ 1; 3; 10; 123; 1_000; 50_000; 1_000_000; 30_000_000 ];
            Engine.run eng))
-
-  let bench_wheel =
-    bench_scheduler Engine.Timer_wheel "engine_speed:wheel-dispatch-4k"
-
-  let bench_heap =
-    bench_scheduler Engine.Binary_heap "engine_speed:heap-dispatch-4k"
 
   (* figures 2/3 rest on per-cell reassembly decisions. *)
   let bench_sar =
@@ -147,7 +142,7 @@ module Micro = struct
 
   let all =
     Test.make_grouped ~name:"micro" ~fmt:"%s %s"
-      [ bench_engine; bench_wheel; bench_heap; bench_sar; bench_queue;
+      [ bench_engine; bench_queue_dispatch; bench_sar; bench_queue;
         bench_checksum; bench_crc; bench_cell; bench_pbufs; bench_ip_frag ]
 
   (* Print the estimates and return them as [(name, ns_per_run)]. *)
@@ -208,13 +203,13 @@ let run_reproduction entries =
         vm_hwm_kb () ))
     entries
 
-let write_bench_json ~mode ~experiments ~micro =
+let write_bench_json ~mode ~experiments ~micro ~metrics =
   let path =
     match Sys.getenv_opt "OSIRIS_BENCH_JSON" with
     | Some p when p <> "" -> p
     | _ -> "BENCH.json"
   in
-  let doc = Report.bench_json ~mode ~experiments ~micro in
+  let doc = Report.bench_json ~mode ~experiments ~micro ~metrics in
   match open_out path with
   | oc ->
       Json.to_channel oc doc;
@@ -242,21 +237,27 @@ let () =
           Printf.printf "%-24s %s\n" e.Registry.id e.Registry.description)
         Registry.all
   | "micro" ->
+      let metrics = Metrics.to_json () in
       let micro = Micro.run () in
-      write_bench_json ~mode ~experiments:[] ~micro
-  | "quick" ->
-      let experiments = run_reproduction Registry.quick in
+      write_bench_json ~mode ~experiments:[] ~micro ~metrics
+  | "quick" | "all" ->
+      let experiments =
+        run_reproduction
+          (if mode = "quick" then Registry.quick else Registry.all)
+      in
+      (* Snapshot before the micro-benchmarks: Bechamel repeats them as
+         often as its time quota allows, and some bump [sar.*] and
+         [queue.*] counters, so a later snapshot would vary from run to
+         run. *)
+      let metrics = Metrics.to_json () in
       let micro = Micro.run () in
-      write_bench_json ~mode ~experiments ~micro
-  | "all" ->
-      let experiments = run_reproduction Registry.all in
-      let micro = Micro.run () in
-      write_bench_json ~mode ~experiments ~micro
+      write_bench_json ~mode ~experiments ~micro ~metrics
   | id -> (
       match Registry.find id with
       | Some e ->
           let experiments = run_reproduction [ e ] in
           write_bench_json ~mode ~experiments ~micro:[]
+            ~metrics:(Metrics.to_json ())
       | None ->
           Printf.eprintf "unknown experiment %S; try `list`\n" id;
           exit 1)

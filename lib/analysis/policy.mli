@@ -18,7 +18,7 @@
     accessor lib/board/board.ml    # declared accessor of shared state
     allow catchall lib/foo.ml      # justification required after the '#'
                                    #   keys: catchall exit obj no-mli
-    hot lib/sim/wheel.ml:add       # R5: must be transitively allocation-free
+    hot lib/sim/heap.ml:add        # R5: must be transitively allocation-free
     alloc-free Metrics.incr        # R5: certified external callee (# why)
     sim-time Engine.now            # R6: produces simulated time
     wall-clock Unix.gettimeofday   # R6: produces wall-clock time

@@ -28,16 +28,16 @@ type violation = Lint.violation = {
    short module name so cross-module calls resolve. *)
 
 type modul = {
-  m_modname : string;  (* "Osiris_sim__Wheel" *)
-  m_key : string;  (* "Wheel" *)
-  m_source : string;  (* "lib/sim/wheel.ml" *)
+  m_modname : string;  (* "Osiris_sim__Heap" *)
+  m_key : string;  (* "Heap" *)
+  m_source : string;  (* "lib/sim/heap.ml" *)
   m_fns : (string * Typedtree.expression) list;  (* top-level lets *)
   m_aliases : (string * string list) list;
       (* local [module M = Path] bindings, name → target path elements *)
   m_structure : Typedtree.structure;
 }
 
-(* "Osiris_sim__Wheel" → "Wheel"; "Stdlib__Hashtbl" → "Hashtbl";
+(* "Osiris_sim__Heap" → "Heap"; "Stdlib__Hashtbl" → "Hashtbl";
    "Osiris_sim__" → "" (the wrapper alias module itself). *)
 let strip_lib_prefix name =
   let n = String.length name in
@@ -268,7 +268,7 @@ let is_boxed_number (ty : Types.type_expr) =
 
 type r5 = {
   idx : index;
-  mutable root : string;  (* "lib/sim/wheel.ml:add", for messages *)
+  mutable root : string;  (* "lib/sim/heap.ml:add", for messages *)
   r5_violations : violation list ref;
   visited : (string, unit) Hashtbl.t;  (* modname ^ "." ^ fn *)
 }

@@ -17,9 +17,9 @@
    capacity doubling, so the probe bound is a structural invariant, not
    a hope.
 
-   An optional {!Hashtbl} mirror (the differential oracle, same pattern
-   as [Binary_heap] backing [Wheel]) records every mutation; [check]
-   compares the two directions and the structural invariants. *)
+   An optional {!Hashtbl} mirror (the differential oracle) records every
+   mutation; [check] compares the two directions and the structural
+   invariants. *)
 
 type 'a t = {
   mutable c_keys : int array; (* -1 = empty slot *)

@@ -10,8 +10,7 @@
 
     Lookup costs are recorded (count, probe sum, histogram) for the
     cycle-cost model in {!Cost}; an optional [Hashtbl] differential
-    oracle mirrors every mutation and is audited by {!check}, the same
-    pattern as [Binary_heap] backing the engine's timer wheel. *)
+    oracle mirrors every mutation and is audited by {!check}. *)
 
 type 'a t
 

@@ -11,10 +11,9 @@
    stream PDUs through the cell switch to one receiver over a star
    topology — segmentation, link striping, switch contention, DMA,
    reassembly, demux — and the engine dispatches a fixed budget of live
-   events. The identical seeded workload runs on both scheduler
-   backends; any divergence in final clock or traffic counters is
-   reported as a violation (the macro-scale companion to the test
-   suite's event-for-event differential check). *)
+   events. The rate only counts if the workload delivers without loss
+   and the engine retains nothing per dispatched event; the dispatch
+   order itself is pinned by the test suite's differential checks. *)
 
 open Osiris_sim
 module Host = Osiris_core.Host
@@ -27,7 +26,6 @@ module Msg = Osiris_xkernel.Msg
 module Demux = Osiris_xkernel.Demux
 
 type outcome = {
-  backend : Engine.backend;
   events : int;  (** live events dispatched in the timed segment *)
   wall_s : float;
   cpu_s : float;  (** user CPU time; the rates below use this *)
@@ -41,8 +39,7 @@ type outcome = {
   cells_in : int;
   dropped : int;
   live_words_growth : int;
-      (** major-heap words retained across all timed segments of both
-          backends (they share the process heap) *)
+      (** major-heap words retained across all timed segments *)
   minor_words_per_event : float;
       (** minor-heap words allocated per dispatched event, best segment:
           the R5 hot-path allocation lint's rent, in numbers *)
@@ -62,24 +59,19 @@ let growth_ceiling = 4_000_000
 
 let warmup_events = 20_000
 
-(* One backend's workload, built and warmed up, ready for timed
-   segments. Both backends are prepared before either is timed, and
-   their segments interleave (wheel, heap, wheel, heap, ...) so that
-   machine-load phases — a noisy neighbour, a slow disk sync — hit both
-   schedulers alike instead of biasing whichever ran second. *)
+(* The workload, built and warmed up, ready for timed segments. *)
 type setup = {
-  s_backend : Engine.backend;
   s_eng : Engine.t;
   s_stats : Switch.stats;
   s_delivered : int ref;
   s_delivered_bytes : int ref;
 }
 
-let prepare ~backend ~senders ~msg_size ~seed () =
+let prepare ~senders ~msg_size ~seed () =
   let cfg = { Host.default_config with Host.seed = 9000 + seed } in
   let switch = { Switch.default_config with Switch.queue_cells = 128 } in
   let eng, topo =
-    Network.star ~backend ~n:(senders + 1) ~config:cfg ~switch
+    Network.star ~n:(senders + 1) ~config:cfg ~switch
       ~seed:(200 + seed) ()
   in
   let recv = Network.host topo 0 in
@@ -123,7 +115,6 @@ let prepare ~backend ~senders ~msg_size ~seed () =
   (* Let the pipeline fill before measuring. *)
   Engine.run ~max_events:warmup_events eng;
   {
-    s_backend = backend;
     s_eng = eng;
     s_stats = Switch.stats topo.Network.switches.(0);
     s_delivered = delivered;
@@ -147,7 +138,6 @@ let outcome_of s ~events ~wall_s ~best_cpu ~best_fwd ~best_mw
   let cpu = if best_cpu > 0. then best_cpu else 1e-9 in
   let st = s.s_stats in
   {
-    backend = s.s_backend;
     events;
     wall_s;
     cpu_s = best_cpu;
@@ -163,25 +153,6 @@ let outcome_of s ~events ~wall_s ~best_cpu ~best_fwd ~best_mw
     live_words_growth;
     minor_words_per_event = best_mw /. float_of_int events;
   }
-
-(* The two backends ran the same seeded workload for the same event
-   budget: every simulation-side observable must match exactly. *)
-let compare_outcomes w h =
-  let d name f =
-    if f w <> f h then
-      [
-        Printf.sprintf
-          "engine_speed: %s diverges across backends (wheel %d, heap %d)"
-          name (f w) (f h);
-      ]
-    else []
-  in
-  d "final clock" (fun o -> o.final_clock)
-  @ d "cells into the switch" (fun o -> o.cells_in)
-  @ d "cells forwarded" (fun o -> o.cells_forwarded)
-  @ d "cells dropped" (fun o -> o.dropped)
-  @ d "delivered PDUs" (fun o -> o.delivered_pdus)
-  @ d "delivered bytes" (fun o -> o.delivered_bytes)
 
 (* A rate counted over traffic that never arrives measures a drop storm,
    not the datapath: the workload must deliver, and without loss. *)
@@ -208,20 +179,16 @@ let leak_check o =
 
 let run ?(events = 1_000_000) ?(senders = 4) ?(msg_size = 2048) ?(seed = 3)
     () =
-  let go backend = prepare ~backend ~senders ~msg_size ~seed () in
-  let w = go Engine.Timer_wheel in
-  let h = go Engine.Binary_heap in
+  let s = prepare ~senders ~msg_size ~seed () in
   let base_words = live_words () in
-  (* Each backend is rated on its best of [reps] segments — major-GC
-     slices land unevenly across segments, and the best one is the
-     least polluted look at the scheduler itself. Wall time (all of a
-     backend's segments) is still reported. *)
+  (* Rated on the best of [reps] segments — major-GC slices land
+     unevenly across segments, and the best one is the least polluted
+     look at the scheduler itself. Wall time (all segments) is still
+     reported. *)
   let reps = 3 in
-  let best_cpu_w = ref infinity and best_fwd_w = ref 0 in
-  let best_cpu_h = ref infinity and best_fwd_h = ref 0 in
-  let best_mw_w = ref infinity and best_mw_h = ref infinity in
-  let wall_w = ref 0. and wall_h = ref 0. in
-  let timed s best_cpu best_fwd best_mw wall =
+  let best_cpu = ref infinity and best_fwd = ref 0 in
+  let best_mw = ref infinity and wall = ref 0. in
+  for _ = 1 to reps do
     let t0 = Unix.gettimeofday () in
     let cpu_s, fwd, mw = segment s ~events in
     wall := !wall +. (Unix.gettimeofday () -. t0);
@@ -232,76 +199,49 @@ let run ?(events = 1_000_000) ?(senders = 4) ?(msg_size = 2048) ?(seed = 3)
     (* Best segment independently of the CPU best: allocation is exactly
        reproducible per segment, timing is not. *)
     if mw < !best_mw then best_mw := mw
-  in
-  for _ = 1 to reps do
-    timed w best_cpu_w best_fwd_w best_mw_w wall_w;
-    timed h best_cpu_h best_fwd_h best_mw_h wall_h
   done;
-  (* Both engines share the process heap, so retention is measured once
-     across all segments of both: a scheduler pinning dead events at
-     either end shows up (both dispatched the same event count). *)
-  let growth = live_words () - base_words in
-  let wheel =
-    outcome_of w ~events ~wall_s:!wall_w ~best_cpu:!best_cpu_w
-      ~best_fwd:!best_fwd_w ~best_mw:!best_mw_w ~live_words_growth:growth
+  let o =
+    outcome_of s ~events ~wall_s:!wall ~best_cpu:!best_cpu
+      ~best_fwd:!best_fwd ~best_mw:!best_mw
+      ~live_words_growth:(live_words () - base_words)
   in
-  let heap =
-    outcome_of h ~events ~wall_s:!wall_h ~best_cpu:!best_cpu_h
-      ~best_fwd:!best_fwd_h ~best_mw:!best_mw_h ~live_words_growth:growth
-  in
-  let violations =
-    compare_outcomes wheel heap @ delivery_check wheel @ leak_check wheel
-  in
-  (wheel, heap, violations)
+  (o, delivery_check o @ leak_check o)
 
 let sweep_events = [ 250_000; 1_000_000 ]
 
 let figure () =
   let outs = List.map (fun n -> run ~events:n ()) sweep_events in
   List.iter
-    (fun (_, _, violations) ->
+    (fun (_, violations) ->
       if violations <> [] then
         failwith
           ("engine_speed: invariant violation: "
           ^ String.concat "; " violations))
     outs;
-  let kevents (w, _, _) = w.events / 1000 in
-  let pt f = List.map (fun o -> (kevents o, f o)) outs in
+  let pt f = List.map (fun (o, _) -> (o.events / 1000, f o)) outs in
   {
     Report.title =
-      "engine_speed: live events dispatched per wall-clock second, \
-       4-sender star-topology datapath workload, timer wheel vs binary \
-       heap (identical dispatch order enforced)";
+      "engine_speed: live events dispatched per CPU second, 4-sender \
+       star-topology datapath workload, one (time, seq) event queue";
     xlabel = "live events dispatched (thousands)";
     ylabel = "events/s, cells/s, bytes/s, words (see series)";
     series =
       [
-        { Report.label = "events/s (timer wheel)";
-          points = pt (fun (w, _, _) -> w.events_per_s) };
-        { Report.label = "events/s (binary heap)";
-          points = pt (fun (_, h, _) -> h.events_per_s) };
-        { Report.label = "wheel speedup over heap (pct)";
-          points =
-            pt (fun (w, h, _) ->
-                100. *. w.events_per_s /. h.events_per_s) };
-        { Report.label = "sim cells forwarded/s (wheel)";
-          points = pt (fun (w, _, _) -> w.cells_per_s) };
-        { Report.label = "sim payload bytes/s (wheel)";
-          points = pt (fun (w, _, _) -> w.bytes_per_s) };
-        { Report.label = "live-words growth (both backends)";
-          points = pt (fun (w, _, _) -> float_of_int w.live_words_growth) };
+        { Report.label = "events/s"; points = pt (fun o -> o.events_per_s) };
+        { Report.label = "sim cells forwarded/s";
+          points = pt (fun o -> o.cells_per_s) };
+        { Report.label = "sim payload bytes/s";
+          points = pt (fun o -> o.bytes_per_s) };
+        { Report.label = "live-words growth";
+          points = pt (fun o -> float_of_int o.live_words_growth) };
         (* The R5 hot-path allocation lint's rent: minor-heap words per
-           dispatched event. The backends legitimately differ — the heap
-           boxes one entry per add — so both are reported, neither is
-           cross-checked. *)
-        { Report.label = "minor words per event (timer wheel)";
-          points = pt (fun (w, _, _) -> w.minor_words_per_event) };
-        { Report.label = "minor words per event (binary heap)";
-          points = pt (fun (_, h, _) -> h.minor_words_per_event) };
+           dispatched event. *)
+        { Report.label = "minor words per event";
+          points = pt (fun o -> o.minor_words_per_event) };
       ];
     paper_note =
       "self-benchmark, no paper counterpart: the engine must stay fast \
        enough that reproducing the paper's sweeps at testbed scale is \
-       cheap; both backends replay the identical seeded workload and \
-       must agree on every traffic counter and the final clock";
+       cheap; the workload must deliver without drops and retain nothing \
+       per dispatched event";
   }

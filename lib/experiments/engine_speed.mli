@@ -1,15 +1,13 @@
-(** Engine macro-benchmark: events per wall-clock second over the full
-    star-topology datapath, timer wheel vs binary heap.
+(** Engine macro-benchmark: events per CPU second over the full
+    star-topology datapath.
 
-    Runs the identical seeded workload on both scheduler backends for a
-    fixed budget of live events, measures wall-clock dispatch rate,
-    simulated cells forwarded per second and simulated payload bytes
-    per second, and checks that (a) the two backends agree on every
-    traffic counter and the final clock and (b) neither scheduler
-    retains memory proportional to the number of dispatched events. *)
+    Runs a seeded workload for a fixed budget of live events, measures
+    the dispatch rate, simulated cells forwarded per second and
+    simulated payload bytes per second, and checks that (a) the workload
+    delivered PDUs without a switch drop and (b) the engine retains no
+    memory proportional to the number of dispatched events. *)
 
 type outcome = {
-  backend : Osiris_sim.Engine.backend;
   events : int;  (** live events dispatched per timed segment *)
   wall_s : float;  (** wall time across all timed segments *)
   cpu_s : float;
@@ -25,14 +23,10 @@ type outcome = {
   cells_in : int;
   dropped : int;
   live_words_growth : int;
-      (** major-heap words retained across all timed segments of both
-          backends (they share the process heap, so retention is
-          measured once and reported in both outcomes) *)
+      (** major-heap words retained across all timed segments *)
   minor_words_per_event : float;
       (** minor-heap words allocated per dispatched event, best
-          segment: the R5 hot-path allocation lint's rent, in numbers.
-          Not cross-checked between backends — the heap legitimately
-          boxes one entry per scheduled event. *)
+          segment: the R5 hot-path allocation lint's rent, in numbers *)
 }
 
 val run :
@@ -41,13 +35,12 @@ val run :
   ?msg_size:int ->
   ?seed:int ->
   unit ->
-  outcome * outcome * string list
-(** One measurement at a given event budget (default 1M): the timer
-    wheel outcome, the binary heap outcome, and the violations —
-    cross-backend divergence or a live-words leak. *)
+  outcome * string list
+(** One measurement at a given event budget (default 1M): the outcome
+    and the violations — nothing delivered, a switch drop or a
+    live-words leak. *)
 
 val figure : unit -> Report.figure
-(** The BENCH.json figure: both backends' events/s over the event-budget
-    sweep, the wheel's speedup, forwarded-cell and payload-byte rates,
-    and the wheel's live-words growth. Raises [Failure] on any
-    violation. *)
+(** The BENCH.json figure: events/s over the event-budget sweep,
+    forwarded-cell and payload-byte rates, live-words growth and minor
+    words per event. Raises [Failure] on any violation. *)

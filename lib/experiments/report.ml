@@ -106,7 +106,7 @@ let figure_json f =
 
 let schema = "osiris-bench/9"
 
-let bench_json ~mode ~experiments ~micro =
+let bench_json ~mode ~experiments ~micro ~metrics =
   Json.Assoc
     [
       ("schema", Json.String schema);
@@ -135,7 +135,7 @@ let bench_json ~mode ~experiments ~micro =
                    );
                  ])
              micro) );
-      ("metrics", Osiris_obs.Metrics.to_json ());
+      ("metrics", metrics);
     ]
 
 let mbps ~bytes_count ~ns =

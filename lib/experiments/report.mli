@@ -43,12 +43,15 @@ val bench_json :
   mode:string ->
   experiments:(string * string * Osiris_obs.Json.t * int) list ->
   micro:(string * float option) list ->
+  metrics:Osiris_obs.Json.t ->
   Osiris_obs.Json.t
 (** The BENCH.json document (schema {!schema}): the run [mode],
     every experiment as [(id, description, result_json, vm_hwm_kb)] where
     [vm_hwm_kb] is the process's peak resident set once the experiment
-    finished, Bechamel results as [(name, ns_per_run)], and a full
-    {!Osiris_obs.Metrics} snapshot taken at call time. *)
+    finished, Bechamel results as [(name, ns_per_run)], and [metrics], a
+    {!Osiris_obs.Metrics.to_json} snapshot taken once the experiments
+    finished and before any micro-benchmark ran (Bechamel repeats its
+    tests a timing-dependent number of times, and some bump counters). *)
 
 val mbps : bytes_count:int -> ns:int -> float
 (** Rate of [bytes_count] bytes over [ns] simulated nanoseconds, in Mb/s. *)

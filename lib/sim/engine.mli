@@ -13,11 +13,13 @@
     is built on). Without a chooser the engine keeps its historical FIFO
     tie-break, bit-for-bit.
 
-    The queue behind the engine is pluggable too ({!backend}): the
-    default hierarchical timer wheel and the original binary heap
-    implement the identical [(time, seq)] dispatch order — the test
-    suite proves it event for event — so the choice affects wall-clock
-    speed only, never simulation outcomes. *)
+    Events wait in one binary heap keyed on [(time, seq)]. Without a
+    chooser, an event scheduled for the current instant skips the heap
+    and joins a FIFO ring, the {e same-instant lane}, which dispatch
+    drains after any heap entries at that instant (those carry lower
+    seqs). Installing a chooser moves the lane back into the heap under
+    its original seqs. The lane changes wall-clock speed only, never the
+    dispatch order. *)
 
 type t
 
@@ -25,18 +27,8 @@ type handle
 (** Identifies a scheduled event so it can be cancelled or, once it has
     fired, rescheduled. *)
 
-type backend =
-  | Timer_wheel
-      (** Hierarchical timer wheel (default): O(1) for imminent events,
-          no per-event allocation in steady state. *)
-  | Binary_heap
-      (** The original array heap: O(log n) per operation. Kept for
-          differential testing against the wheel. *)
-
-val create : ?backend:backend -> unit -> t
-(** A fresh engine with the clock at {!Time.zero}. [backend] (default
-    [Timer_wheel]) selects the event-queue implementation; dispatch
-    order is identical across backends. *)
+val create : unit -> t
+(** A fresh engine with the clock at {!Time.zero}. *)
 
 val now : t -> Time.t
 (** Current simulated time. *)
@@ -71,15 +63,16 @@ val cancel : handle -> unit
     no-op. *)
 
 val pending : t -> int
-(** Number of events still queued (including cancelled ones not yet
-    drained). *)
+(** Number of events still queued, in the heap or the same-instant lane
+    (including cancelled ones not yet drained). *)
 
 val events_dispatched : t -> int
 (** Total simulated events over the engine's lifetime: every live
     (non-cancelled) callback executed, plus the two events (timer and
-    resume) of every sleep completed inline ({!sleep_inline}) — the
-    count the speed benchmarks report, the same whether a sleep
-    completed inline or through the queue. *)
+    resume) of every sleep completed inline ({!sleep_inline}) and the
+    resume of every sleep timer that ran its process in place
+    ({!fuse_resume}) — the count the speed benchmarks report, the same
+    whether a sleep completed inline, fused or through the queue. *)
 
 val step : t -> bool
 (** Execute the single next event. Returns [false] when the queue is
@@ -96,9 +89,10 @@ val run : ?until:Time.t -> ?max_events:int -> t -> unit
 
     A run without [max_events] and without a chooser lets a process's
     sleep complete inline ({!sleep_inline}) when no other event could
-    come first; the [(time, seq)] stream, the clock and
-    {!events_dispatched} are the same as if it had gone through the
-    queue. *)
+    come first, and a sleep timer run its process in place of the resume
+    ({!fuse_resume}) when nothing else is due at its instant; the
+    [(time, seq)] stream, the clock and {!events_dispatched} are the
+    same as if every event had gone through the queue. *)
 
 val sleep_inline : t -> time:Time.t -> bool
 (** [sleep_inline t ~time] completes, without queueing anything, a sleep
@@ -106,11 +100,23 @@ val sleep_inline : t -> time:Time.t -> bool
     arms would be the next two events of the current {!run}: [time] is
     strictly below every queued key and at or below the run's [until],
     the run has no [max_events], no chooser is installed and {!stop} was
-    not requested. It then sets the clock to [time] and consumes the two
-    sequence numbers and two {!events_dispatched} those events would
-    have, and returns [true]; otherwise it changes nothing and returns
-    [false]. {!step} never completes a sleep inline. Used by
-    [Process.sleep]. *)
+    not requested. (The lane counts: an event due at the current instant
+    is a queued key no later than [time].) It then sets the clock to
+    [time] and consumes the two sequence numbers and two
+    {!events_dispatched} those events would have, and returns [true];
+    otherwise it changes nothing and returns [false]. {!step} never
+    completes a sleep inline. Used by [Process.sleep]. *)
+
+val fuse_resume : t -> bool
+(** [fuse_resume t], called by a sleep timer's callback that is about to
+    arm its process's resume at the current instant, tells whether the
+    callback may run the process directly instead: the resume would be
+    the current {!run}'s very next event, because nothing else is due at
+    this instant (heap or lane) and the run has no [max_events], no
+    chooser and no {!stop} request. It then consumes the resume's
+    sequence number and counts its dispatch in {!events_dispatched}, and
+    returns [true]; otherwise it changes nothing and returns [false].
+    {!step} never fuses. Used by [Process.sleep]'s timer. *)
 
 exception Stopped
 

@@ -48,6 +48,18 @@ let wake_now p =
   p.gen <- p.gen + 1;
   Engine.reschedule p.eng ~delay:0 p.resume
 
+(* A sleep timer: arm the resume at this instant or, when the engine
+   says nothing could run between the two, be the resume. *)
+let end_sleep p =
+  if Engine.fuse_resume p.eng then begin
+    p.gen <- p.gen + 1;
+    (run p ()
+    [@osiris.alloc_ok
+      "dispatch: what the fiber allocates is the process's budget, not \
+       the engine's"])
+  end
+  else wake_now p
+
 let wake p gen =
   if gen <> p.gen then
     (invalid_arg "Process: resumer invoked twice"
@@ -74,7 +86,7 @@ let spawn eng ?(name = "anon") f =
   in
   p.me <- Some p;
   p.resume <- Engine.handle (run p);
-  p.timer <- Engine.handle (fun () -> wake_now p);
+  p.timer <- Engine.handle (fun () -> end_sleep p);
   p.on_park <- Some (store p);
   let handler =
     {
@@ -108,8 +120,8 @@ let sleep eng d =
   (* When nothing else could run before the sleep ends, the process
      continues inline; the engine accounts for the timer and resume
      events, and the wake they would have performed bumps [gen].
-     Otherwise two queued events: the timer at [now + d], whose callback
-     arms the resume at that instant. *)
+     Otherwise the timer is queued at [now + d]; it arms the resume at
+     that instant, or runs the process itself ([end_sleep]). *)
   if Engine.sleep_inline eng ~time:(Engine.now eng + d) then
     p.gen <- p.gen + 1
   else begin

@@ -15,7 +15,9 @@
     one for its sleep timer, and one slot for its continuation, so a
     steady-state sleep or wake allocates nothing but the continuation
     block the runtime builds when a fiber suspends, and a sleep that
-    completes inline allocates nothing at all. *)
+    completes inline allocates nothing at all. A wake arms the resume at
+    the current instant, which the engine keeps in its same-instant
+    lane rather than its heap. *)
 
 exception Not_in_process
 
@@ -35,7 +37,11 @@ val sleep : Engine.t -> Time.t -> unit
     the sleep completes inline ({!Engine.sleep_inline}): the clock, the
     sequence numbers, {!Engine.events_dispatched} and the generation end
     up exactly as the two events would have left them, and nothing is
-    queued or allocated. *)
+    queued or allocated. Otherwise the process parks; when its timer
+    fires with nothing else due at that instant, the timer runs the
+    process itself instead of queueing the resume
+    ({!Engine.fuse_resume}), and the resume still counts as one
+    dispatched event. *)
 
 val yield : Engine.t -> unit
 (** Suspend and immediately reschedule at the same simulated time, letting

@@ -28,9 +28,9 @@ let policy =
      own ent_head lib/lb/reps.ml\n\
      own ent_tail lib/lb/reps.ml\n\
      own cached lib/lb/reps.ml\n\
-     own cur lib/sim/wheel.ml\n\
-     own free lib/sim/wheel.ml lib/mem/phys_mem.ml\n\
-     own w_next lib/sim/wheel.ml\n\
+     own last_key lib/sim/heap.ml\n\
+     own h_len lib/sim/heap.ml\n\
+     own h_nodes lib/sim/heap.ml\n\
      own gen lib/sim/process.ml\n\
      own c_count lib/classify/table.ml\n\
      own c_maxd lib/classify/table.ml\n\
@@ -128,14 +128,14 @@ let test_exemptions_need_justification () =
   Alcotest.(check bool) "uncovered parsed" true (Policy.uncovered_ok ok "x.y")
 
 let test_hot_directive () =
-  let p = Policy.of_string "hot lib/sim/wheel.ml:add\nhot lib/atm/sar.ml:push\n" in
+  let p = Policy.of_string "hot lib/sim/heap.ml:add\nhot lib/atm/sar.ml:push\n" in
   Alcotest.(check (list (pair string string)))
     "hot entries"
-    [ ("lib/sim/wheel.ml", "add"); ("lib/atm/sar.ml", "push") ]
+    [ ("lib/sim/heap.ml", "add"); ("lib/atm/sar.ml", "push") ]
     p.Policy.hot;
   Alcotest.(check bool) "is_hot" true
-    (Policy.is_hot p ~file:"lib/sim/wheel.ml" ~fn:"add");
-  match Policy.of_string "hot lib/sim/wheel.ml\n" with
+    (Policy.is_hot p ~file:"lib/sim/heap.ml" ~fn:"add");
+  match Policy.of_string "hot lib/sim/heap.ml\n" with
   | exception Failure _ -> ()
   | _ -> Alcotest.fail "hot without :function accepted"
 

@@ -108,6 +108,7 @@ let test_bench_json_golden () =
         [ ("t1", "a table", Report.table_json table, 2048);
           ("f1", "a figure", Report.figure_json figure, 4096) ]
       ~micro:[ ("m", Some 12.5); ("n", None) ]
+      ~metrics:(Metrics.to_json ())
   in
   let expected =
     "{\"schema\":\"osiris-bench/9\",\"mode\":\"test\",\"experiments\":[\

@@ -313,7 +313,7 @@ let[@inline never] weak_after_pop add_pop =
   w
 
 let test_heap_releases_popped_values () =
-  let h = Heap.create () in
+  let h = Heap.create ~dummy:Bytes.empty in
   let w =
     weak_after_pop (fun v ->
         Heap.add h ~key:1 ~seq:0 v;
@@ -329,33 +329,44 @@ let test_heap_releases_popped_values () =
      check above proves nothing. *)
   check "heap empty" 0 (Heap.length h)
 
-let test_wheel_releases_popped_values () =
-  let wh = Wheel.create ~dummy:Bytes.empty in
-  let w =
-    weak_after_pop (fun v ->
-        Wheel.add wh ~key:1 ~seq:0 v;
-        match Wheel.pop_min wh with
-        | Some (1, 0, _) -> ()
-        | _ -> Alcotest.fail "wheel pop mismatch")
+let alive ws =
+  Array.fold_left (fun acc w -> if Weak.get w 0 = None then acc else acc + 1)
+    0 ws
+
+(* The same-instant lane holds callbacks in a ring: a dispatched slot
+   must not pin its closure, whether it ran from the ring, from a ring
+   that grew, or after a chooser moved the ring into the heap. *)
+let test_lane_releases_popped_values () =
+  let eng = Engine.create () in
+  let schedule_now v =
+    ignore (Engine.schedule eng ~delay:0 (fun () -> ignore (Bytes.length v)))
   in
+  let n = 100 in
+  let ws = Array.init n (fun _ -> weak_after_pop schedule_now) in
+  check "all in the lane" n (Engine.pending eng);
+  Engine.run eng;
   Gc.full_major ();
-  Alcotest.(check bool) "popped wheel value collected (wheel still alive)"
-    true
-    (Weak.get w 0 = None);
-  check "wheel empty" 0 (Wheel.length wh)
+  check "every lane callback collected (engine still alive)" 0 (alive ws);
+  let ws = Array.init n (fun _ -> weak_after_pop schedule_now) in
+  Engine.set_chooser eng (Some (fun ~now:_ ~count:_ -> 0));
+  check "the chooser moved the lane" n (Engine.pending eng);
+  Engine.run eng;
+  Gc.full_major ();
+  check "every moved callback collected" 0 (alive ws);
+  check "all dispatched" (2 * n) (Engine.events_dispatched eng)
 
 (* ------------------------------------------------------------------ *)
-(* Timer wheel unit behaviour. *)
+(* Heap unit behaviour. *)
 
-let test_wheel_cascade () =
-  let wh = Wheel.create ~dummy:(-1) in
-  (* Keys spanning many levels, including same-key FIFO runs. *)
+let test_heap_wide_keys () =
+  let h = Heap.create ~dummy:(-1) in
+  (* Keys over nine decimal magnitudes, including same-key runs. *)
   let keys = [ 0; 5; 5; 31; 32; 1_000; 33_554_432; 1_000_000_000; 7 ] in
-  List.iteri (fun seq k -> Wheel.add wh ~key:k ~seq seq) keys;
-  Alcotest.(check (option int)) "peek" (Some 0) (Wheel.peek_key wh);
+  List.iteri (fun seq k -> Heap.add h ~key:k ~seq seq) keys;
+  check "next key" 0 (Heap.next_key h);
   let popped = ref [] in
   let rec drain () =
-    match Wheel.pop_min wh with
+    match Heap.pop_min h with
     | None -> ()
     | Some (k, s, v) ->
         Alcotest.(check int) "value is its own seq" s v;
@@ -367,103 +378,94 @@ let test_wheel_cascade () =
     "keys ascend, ties in seq order"
     [ (0, 0); (5, 1); (5, 2); (7, 8); (31, 3); (32, 4); (1_000, 5);
       (33_554_432, 6); (1_000_000_000, 7) ]
-    (List.rev !popped)
+    (List.rev !popped);
+  check "empty next key" max_int (Heap.next_key h)
 
-let test_wheel_floor_rejects_past () =
-  let wh = Wheel.create ~dummy:0 in
-  Wheel.add wh ~key:100 ~seq:0 0;
-  ignore (Wheel.pop_min wh);
-  check "floor follows pops" 100 (Wheel.floor wh);
+let test_heap_floor_rejects_past () =
+  let h = Heap.create ~dummy:0 in
+  Heap.add h ~key:100 ~seq:0 0;
+  ignore (Heap.pop_min h);
+  check "floor follows pops" 100 (Heap.last_key h);
   Alcotest.check_raises "below the floor"
-    (Invalid_argument "Wheel.add: key 99 below the pop floor 100")
-    (fun () -> Wheel.add wh ~key:99 ~seq:1 0)
+    (Invalid_argument "Heap.add: key 99 below the pop floor 100")
+    (fun () -> Heap.add h ~key:99 ~seq:1 0)
 
 (* ------------------------------------------------------------------ *)
-(* Scheduler vs naive model: random add/pop sequences against a sorted
-   association list, identical for both backends. *)
+(* Heap vs the reference model in ref_queue.ml: random adds and pops.
+   Seqs are unique but not increasing (the engine re-adds a chooser's
+   unpicked candidates under their old seqs), and [floor_probe] also
+   tries adds below the pop floor, which both must reject. *)
 
-let scheduler_model_prop name add pop peek fresh =
+let heap_model_prop ?(floor_probe = false) name ~keys =
   QCheck.Test.make ~name ~count:200
-    QCheck.(list (pair (int_bound 4) (int_bound 1000)))
+    QCheck.(list (pair (int_bound 5) (int_bound keys)))
     (fun ops ->
-      let q = fresh () in
-      let model = ref [] in
-      let seq = ref 0 and floor = ref 0 in
-      let fail = ref None in
-      let insert e l =
-        let le (k, s) (k', s') = k < k' || (k = k' && s <= s') in
-        let rec go = function
-          | [] -> [ e ]
-          | x :: tl -> if le x e then x :: go tl else e :: x :: tl
-        in
-        go l
+      let q = Heap.create ~dummy:() and m = Ref_queue.create () in
+      let n = ref 0 and fail = ref None in
+      let diverged what = fail := Some what in
+      let pop () =
+        match (Heap.pop_min q, Ref_queue.pop_min m) with
+        | Some (k, s, ()), Some (k', s', ()) when k = k' && s = s' -> ()
+        | None, None -> ()
+        | _ -> diverged "pop"
       in
       List.iter
         (fun (op, d) ->
-          (if op = 0 then
-             match (pop q, !model) with
-             | Some (k, s, ()), (mk, ms) :: tl when k = mk && s = ms ->
-                 model := tl;
-                 floor := max !floor k
-             | None, [] -> ()
-             | _ -> fail := Some "pop diverged from model"
-           else begin
-             let key = !floor + d in
-             add q ~key ~seq:!seq ();
-             model := insert (key, !seq) !model;
-             incr seq
-           end);
-          let want = match !model with [] -> None | (k, _) :: _ -> Some k in
-          if peek q <> want then fail := Some "peek diverged from model")
+          incr n;
+          let seq = if d land 1 = 0 then !n else - !n in
+          (match op with
+          | 0 | 1 -> pop ()
+          | 2 when floor_probe && Heap.last_key q > 0 -> (
+              let key = Heap.last_key q - 1 - (d mod Heap.last_key q) in
+              match Heap.add q ~key ~seq () with
+              | () -> diverged "add below the floor accepted"
+              | exception Invalid_argument _ -> ())
+          | _ ->
+              let key = Ref_queue.floor m + d in
+              Heap.add q ~key ~seq ();
+              Ref_queue.add m ~key ~seq ());
+          if Heap.next_key q <> Ref_queue.next_key m then diverged "next_key";
+          if Heap.length q <> Ref_queue.length m then diverged "length";
+          if Heap.last_key q <> Ref_queue.floor m then diverged "floor")
         ops;
-      let rec drain () =
-        match (pop q, !model) with
-        | None, [] -> ()
-        | Some (k, s, ()), (mk, ms) :: tl when k = mk && s = ms ->
-            model := tl;
-            drain ()
-        | _ -> fail := Some "drain diverged from model"
-      in
-      drain ();
-      match !fail with None -> true | Some m -> QCheck.Test.fail_report m)
+      while Ref_queue.length m > 0 do
+        pop ()
+      done;
+      pop ();
+      match !fail with
+      | None -> true
+      | Some m -> QCheck.Test.fail_reportf "%s diverged from the model" m)
 
-let wheel_model_prop =
-  scheduler_model_prop "wheel matches sorted-list model"
-    (fun q ~key ~seq v -> Wheel.add q ~key ~seq v)
-    Wheel.pop_min Wheel.peek_key
-    (fun () -> Wheel.create ~dummy:())
+let heap_sorted_list_prop =
+  heap_model_prop "heap matches sorted-list model" ~keys:1000
 
-let heap_model_prop =
-  scheduler_model_prop "heap matches sorted-list model"
-    (fun q ~key ~seq v -> Heap.add q ~key ~seq v)
-    Heap.pop_min Heap.peek_key
-    (fun () -> Heap.create ())
+let heap_ties_floor_prop =
+  heap_model_prop ~floor_probe:true "heap matches model, ties and floor"
+    ~keys:3
 
 (* ------------------------------------------------------------------ *)
-(* Differential dispatch order: the same seeded workload must dispatch
-   event for event identically on both backends. The workload draws its
-   delays, cancellations and fan-out from an RNG consumed inside the
-   callbacks, so the streams only stay aligned if every dispatch (and
-   every bounded-run clock adjustment) matches exactly. *)
+(* Differential dispatch: the same seeded workload must dispatch event
+   for event identically whether the lane and fused sleep timers are in
+   play or not. Plain events draw delays (a third of them 0: the lane),
+   cancellations and fan-out from an RNG consumed inside the callbacks;
+   sleeping processes exercise inline and fused sleeps. The streams
+   only stay aligned if every dispatch matches exactly. *)
 
-let dispatch_trace ?chooser backend =
-  let eng = Engine.create ~backend () in
-  (match chooser with
-  | None -> ()
-  | Some seed ->
-      let crng = Osiris_util.Rng.create ~seed in
-      Engine.set_chooser eng
-        (Some (fun ~now:_ ~count -> Osiris_util.Rng.int crng count)));
+let dispatch_trace ?(switch_at = -1) ?switch_to ?chooser drive =
+  let eng = Engine.create () in
+  Engine.set_chooser eng chooser;
   let rng = Osiris_util.Rng.create ~seed:42 in
   let buf = Buffer.create 4096 in
-  let count = ref 0 in
+  let log fmt = Printf.bprintf buf fmt in
+  let count = ref 0 and burst = ref false in
   let cancellable = ref [] in
   let rec spawn_event () =
     if !count < 2500 then begin
       incr count;
       let id = !count in
       let d =
-        match Osiris_util.Rng.int rng 5 with
+        match Osiris_util.Rng.int rng 6 with
+        | _ when !burst -> 0
         | 0 | 1 -> 0
         | 2 -> Osiris_util.Rng.int rng 50
         | 3 -> Osiris_util.Rng.int rng 5_000
@@ -471,8 +473,18 @@ let dispatch_trace ?chooser backend =
       in
       let h =
         Engine.schedule eng ~delay:d (fun () ->
-            Buffer.add_string buf
-              (Printf.sprintf "%d@%d;" id (Engine.now eng));
+            log "%d@%d;" id (Engine.now eng);
+            if id = switch_at then begin
+              (* The chooser switch lands mid-instant: a burst of
+                 same-instant events is waiting when it is installed,
+                 and more are scheduled at this instant after it. *)
+              burst := true;
+              for _ = 1 to 4 do
+                spawn_event ()
+              done;
+              burst := false;
+              Engine.set_chooser eng switch_to
+            end;
             if Osiris_util.Rng.int rng 3 > 0 then spawn_event ();
             if Osiris_util.Rng.int rng 4 = 0 then spawn_event ())
       in
@@ -486,82 +498,155 @@ let dispatch_trace ?chooser backend =
         | [] -> ()
     end
   in
+  for p = 0 to 2 do
+    Process.spawn eng ~name:"sleeper" (fun () ->
+        for i = 1 to 300 do
+          Process.sleep eng (((i * 7) + p) mod 40 * 250);
+          log "p%d@%d;" p (Engine.now eng)
+        done)
+  done;
   for _ = 1 to 40 do
     spawn_event ()
   done;
-  (* Mixed bounded and budgeted segments exercise the clock-adjustment
-     paths, then an unbounded run drains the rest. *)
-  Engine.run ~until:200_000 eng;
-  Buffer.add_string buf (Printf.sprintf "|u:%d|" (Engine.now eng));
-  Engine.run ~max_events:500 eng;
-  Buffer.add_string buf (Printf.sprintf "|m:%d|" (Engine.now eng));
-  Engine.run eng;
-  Buffer.add_string buf
-    (Printf.sprintf "|end:%d disp:%d|" (Engine.now eng)
-       (Engine.events_dispatched eng));
+  drive eng;
+  log "|end:%d disp:%d|" (Engine.now eng) (Engine.events_dispatched eng);
   Buffer.contents buf
 
-let test_differential_dispatch () =
-  Alcotest.(check string) "wheel and heap dispatch identically"
-    (dispatch_trace Engine.Binary_heap)
-    (dispatch_trace Engine.Timer_wheel)
+let fifo : Engine.chooser option = Some (fun ~now:_ ~count:_ -> 0)
 
+let test_differential_dispatch () =
+  let steps eng =
+    while Engine.step eng do
+      ()
+    done
+  in
+  let want = dispatch_trace steps in
+  Alcotest.(check string) "run = step loop" want (dispatch_trace Engine.run);
+  Alcotest.(check string) "run = FIFO chooser" want
+    (dispatch_trace ?chooser:fifo Engine.run);
+  (* Bounded and budgeted segments exercise the clock adjustments, each
+     recorded; the FIFO chooser never uses the lane or a fused timer. *)
+  let segments ?chooser () =
+    let clocks = ref [] in
+    let drive eng =
+      List.iter
+        (fun run ->
+          run eng;
+          clocks := Engine.now eng :: !clocks)
+        [ Engine.run ~until:200_000; Engine.run ~max_events:500;
+          Engine.run ~until:900_000; Engine.run ?until:None ?max_events:None ]
+    in
+    let trace = dispatch_trace ?chooser drive in
+    (trace, !clocks)
+  in
+  Alcotest.(check (pair string (list int))) "segments: lane = FIFO chooser"
+    (segments ?chooser:fifo ()) (segments ())
+
+(* A random chooser installed mid-instant sees the lane's events as
+   candidates in their original seq order: the trace matches an engine
+   whose events sat in the heap all along (a FIFO chooser from the
+   start) and switched to the same random chooser at the same event. *)
 let test_differential_dispatch_chooser () =
-  Alcotest.(check string)
-    "wheel and heap agree under a randomized chooser"
-    (dispatch_trace ~chooser:11 Engine.Binary_heap)
-    (dispatch_trace ~chooser:11 Engine.Timer_wheel)
+  let random () =
+    let crng = Osiris_util.Rng.create ~seed:11 in
+    Some (fun ~now:_ ~count -> Osiris_util.Rng.int crng count)
+  in
+  List.iter
+    (fun switch_at ->
+      Alcotest.(check string)
+        (Printf.sprintf "random chooser from event %d" switch_at)
+        (dispatch_trace ?chooser:fifo ~switch_at ?switch_to:(random ())
+           Engine.run)
+        (dispatch_trace ~switch_at ?switch_to:(random ()) Engine.run))
+    [ 60; 700 ]
+
+(* The fused-resume predicate: true only inside an unbudgeted,
+   chooser-free run with nothing else due at the instant. *)
+let test_fuse_resume_only_unobserved () =
+  let probe ?(also = ignore) ?chooser drive =
+    let eng = Engine.create () in
+    Engine.set_chooser eng chooser;
+    let got = ref None in
+    ignore
+      (Engine.schedule eng ~delay:5 (fun () ->
+           also eng;
+           got := Some (Engine.fuse_resume eng)));
+    drive eng;
+    (Option.get !got, Engine.events_dispatched eng)
+  in
+  let check_probe name want got =
+    Alcotest.(check (pair bool int)) name want got
+  in
+  check_probe "run: fuses, counts the resume" (true, 2) (probe Engine.run);
+  check_probe "bounded run reaching the instant" (true, 2)
+    (probe (Engine.run ~until:5));
+  check_probe "step never fuses" (false, 1)
+    (probe (fun eng -> ignore (Engine.step eng)));
+  check_probe "budgeted run" (false, 1) (probe (Engine.run ~max_events:1));
+  check_probe "chooser" (false, 1) (probe ?chooser:fifo Engine.run);
+  check_probe "after stop" (false, 1)
+    (probe ~also:Engine.stop Engine.run);
+  check_probe "lane event due" (false, 2)
+    (probe
+       ~also:(fun eng -> ignore (Engine.schedule eng ~delay:0 ignore))
+       Engine.run);
+  check_probe "heap event due" (false, 2)
+    (probe
+       ~also:(fun eng -> ignore (Engine.schedule_at eng ~time:5 ignore))
+       Engine.run);
+  check_probe "later event only" (true, 3)
+    (probe
+       ~also:(fun eng -> ignore (Engine.schedule eng ~delay:1 ignore))
+       Engine.run)
 
 (* ------------------------------------------------------------------ *)
-(* Wheel pool growth: a wheel that outgrows its initial 64 nodes must
-   double its way up and still agree with the heap entry for entry, and
-   still drop every popped value. *)
+(* Heap pool growth: a heap that outgrows its initial 64 nodes must
+   double its way up and still agree with the model entry for entry,
+   and still drop every popped value. *)
 
-let test_wheel_growth_vs_heap () =
-  let wh = Wheel.create ~dummy:(-1) in
-  let hp = Heap.create () in
+let test_heap_growth_vs_model () =
+  let h = Heap.create ~dummy:(-1) and m = Ref_queue.create () in
   let rng = Osiris_util.Rng.create ~seed:7 in
   let seq = ref 0 in
   let add () =
-    let key = Wheel.floor wh + Osiris_util.Rng.int rng 5_000 in
-    Wheel.add wh ~key ~seq:!seq !seq;
-    Heap.add hp ~key ~seq:!seq !seq;
+    let key = Heap.last_key h + Osiris_util.Rng.int rng 5_000 in
+    Heap.add h ~key ~seq:!seq !seq;
+    Ref_queue.add m ~key ~seq:!seq !seq;
     incr seq
   in
   let pop () =
     Alcotest.(check (option (triple int int int)))
-      "wheel and heap pop the same entry" (Heap.pop_min hp)
-      (Wheel.pop_min wh)
+      "heap and model pop the same entry" (Ref_queue.pop_min m)
+      (Heap.pop_min h)
   in
   for _ = 1 to 300 do
     add ()
   done;
-  check "pool doubled past its initial capacity" 512 (Wheel.capacity wh);
+  check "pool doubled past its initial capacity" 512 (Heap.capacity h);
   for round = 1 to 2_000 do
     if round mod 3 = 0 then pop () else add ()
   done;
-  while not (Wheel.is_empty wh) do
+  while not (Heap.is_empty h) do
     pop ()
   done;
   pop ();
-  check "drained" 0 (Wheel.length wh)
+  check "drained" 0 (Heap.length h)
 
-let test_wheel_grown_releases_values () =
-  let wh = Wheel.create ~dummy:Bytes.empty in
+let test_heap_grown_releases_values () =
+  let h = Heap.create ~dummy:Bytes.empty in
   let n = 100 in
   let ws =
     Array.init n (fun i ->
-        weak_after_pop (fun v -> Wheel.add wh ~key:(i mod 7) ~seq:i v))
+        weak_after_pop (fun v -> Heap.add h ~key:(i mod 7) ~seq:i v))
   in
-  Alcotest.(check bool) "pool grew" true (Wheel.capacity wh >= n);
-  while Wheel.pop_min wh <> None do
+  Alcotest.(check bool) "pool grew" true (Heap.capacity h >= n);
+  while Heap.pop_min h <> None do
     ()
   done;
   Gc.full_major ();
-  Alcotest.(check int) "every popped value collected (wheel still alive)" 0
-    (Array.fold_left (fun acc w -> if Weak.get w 0 = None then acc else acc + 1)
-       0 ws);
-  check "wheel empty" 0 (Wheel.length wh)
+  Alcotest.(check int) "every popped value collected (heap still alive)" 0
+    (alive ws);
+  check "heap empty" 0 (Heap.length h)
 
 (* ------------------------------------------------------------------ *)
 (* Allocation pins for the event core. A suspension costs the block the
@@ -996,7 +1081,7 @@ let heap_prop =
   QCheck.Test.make ~name:"heap pops sorted" ~count:200
     QCheck.(list (pair small_nat small_nat))
     (fun entries ->
-      let h = Heap.create () in
+      let h = Heap.create ~dummy:0 in
       List.iteri (fun i (k, v) -> Heap.add h ~key:k ~seq:i v) entries;
       let rec drain last acc =
         match Heap.pop_min h with
@@ -1049,20 +1134,22 @@ let suite =
       test_reschedule_after_cancel;
     Alcotest.test_case "heap: popped values are released" `Quick
       test_heap_releases_popped_values;
-    Alcotest.test_case "wheel: popped values are released" `Quick
-      test_wheel_releases_popped_values;
-    Alcotest.test_case "wheel: multi-level cascade order" `Quick
-      test_wheel_cascade;
-    Alcotest.test_case "wheel: floor rejects past keys" `Quick
-      test_wheel_floor_rejects_past;
-    Alcotest.test_case "differential: wheel vs heap dispatch" `Quick
+    Alcotest.test_case "lane: popped values are released" `Quick
+      test_lane_releases_popped_values;
+    Alcotest.test_case "heap: wide keys pop in order" `Quick
+      test_heap_wide_keys;
+    Alcotest.test_case "heap: floor rejects past keys" `Quick
+      test_heap_floor_rejects_past;
+    Alcotest.test_case "differential: run vs step dispatch" `Quick
       test_differential_dispatch;
-    Alcotest.test_case "differential: wheel vs heap with chooser" `Quick
+    Alcotest.test_case "differential: chooser mid-instant" `Quick
       test_differential_dispatch_chooser;
-    Alcotest.test_case "wheel: pool growth matches heap" `Quick
-      test_wheel_growth_vs_heap;
-    Alcotest.test_case "wheel: grown pool releases popped values" `Quick
-      test_wheel_grown_releases_values;
+    Alcotest.test_case "fused resume: unobserved runs only" `Quick
+      test_fuse_resume_only_unobserved;
+    Alcotest.test_case "heap: pool growth matches the model" `Quick
+      test_heap_growth_vs_model;
+    Alcotest.test_case "heap: grown pool releases values" `Quick
+      test_heap_grown_releases_values;
     Alcotest.test_case "alloc: sleep costs the continuation" `Quick
       test_sleep_allocation;
     Alcotest.test_case "alloc: mailbox message" `Quick
@@ -1091,6 +1178,6 @@ let suite =
     Alcotest.test_case "trace: guarded site allocates nothing" `Quick
       test_trace_guard_allocation;
     QCheck_alcotest.to_alcotest heap_prop;
-    QCheck_alcotest.to_alcotest wheel_model_prop;
-    QCheck_alcotest.to_alcotest heap_model_prop;
+    QCheck_alcotest.to_alcotest heap_sorted_list_prop;
+    QCheck_alcotest.to_alcotest heap_ties_floor_prop;
   ]
